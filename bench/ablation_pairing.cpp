@@ -31,10 +31,13 @@ namespace {
 
 using namespace ppms;
 
-// Replica of the pre-pipeline GtGroup: pairings as independent projective
-// Tate pairings, GT arithmetic through the plain (division-reduced) F_p²
-// helpers, no Montgomery engine. describe() matches the current GtGroup so
-// Fiat-Shamir transcripts — and hence proof verdicts — are identical.
+// Replica of the pre-pipeline GtGroup: pairings as independent Tate
+// pairings, GT arithmetic through the plain (division-reduced) F_p²
+// helpers, no Montgomery engine. The pairings come from the
+// tate_pairing_affine oracle (one field inversion per Miller step), the
+// only non-engine pairing left in the program. describe() matches the
+// current GtGroup so Fiat-Shamir transcripts — and hence proof verdicts —
+// are identical.
 class LegacyGtGroup final : public Group {
  public:
   explicit LegacyGtGroup(TypeAParams params) : params_(std::move(params)) {}
@@ -42,7 +45,7 @@ class LegacyGtGroup final : public Group {
   Bytes encode(const Fp2& x) const { return fp2_serialize(x, params_.p); }
   Fp2 decode(const Bytes& a) const { return fp2_deserialize(a, params_.p); }
   Bytes pair(const EcPoint& P, const EcPoint& Q) const {
-    return encode(tate_pairing(params_, P, Q));
+    return encode(tate_pairing_affine(params_, P, Q));
   }
 
   const Bigint& order() const override { return params_.r; }
@@ -164,20 +167,20 @@ const ClFixture& cl_fx() {
 }
 
 // The pre-pipeline shape: each CL equation checked with independent
-// projective Tate pairings (five Miller loops, five final
+// affine Tate pairings from the oracle (five Miller loops, five final
 // exponentiations per signature) and plain F_p² arithmetic.
 bool naive_cl_verify(const TypeAParams& params, const ClPublicKey& pk,
                      const Bigint& m, const ClSignature& sig) {
   const Bigint& p = params.p;
   const Bigint mr = m.mod(params.r);
-  if (!(tate_pairing(params, sig.a, pk.Y) ==
-        tate_pairing(params, params.g, sig.b))) {
+  if (!(tate_pairing_affine(params, sig.a, pk.Y) ==
+        tate_pairing_affine(params, params.g, sig.b))) {
     return false;
   }
   const Fp2 lhs =
-      fp2_mul(tate_pairing(params, pk.X, sig.a),
-              fp2_pow(tate_pairing(params, pk.X, sig.b), mr, p), p);
-  return lhs == tate_pairing(params, params.g, sig.c);
+      fp2_mul(tate_pairing_affine(params, pk.X, sig.a),
+              fp2_pow(tate_pairing_affine(params, pk.X, sig.b), mr, p), p);
+  return lhs == tate_pairing_affine(params, params.g, sig.c);
 }
 
 void BM_ClVerifyNaive(benchmark::State& state) {
@@ -279,9 +282,9 @@ const SettleFixture& settle_fx() {
 
 // The pre-pipeline per-deposit verifier, replicated from the original
 // verify_spend: a GtGroup built per call, the cert equation and GT
-// statement from independent Tate pairings (five Miller loops, five final
-// exponentiations per spend), and the equality proof checked over the
-// division-based GT arithmetic. Structure checks are identical on every
+// statement from independent affine oracle Tate pairings (five Miller
+// loops, five final exponentiations per spend), and the equality proof
+// checked over the division-based GT arithmetic. Structure checks are identical on every
 // path and cheap, so they are elided here.
 bool naive_verify_spend(const DecParams& params, const ClPublicKey& pk,
                         const SpendBundle& bundle) {

@@ -19,8 +19,8 @@
 // strongest. The kernel rows sweep all supported widths, including the
 // 2-limb test scale used elsewhere in the suite.
 // Every fixture self-checks bit-identity between the modes before timing.
-// Flat limbs stay ON in both modes — A15 isolates the lane batching, not
-// the PR 6 port. Run with --benchmark_out=BENCH_ablation_simd.json to
+// Both modes run the flat-limb core — A15 isolates the lane batching.
+// Run with --benchmark_out=BENCH_ablation_simd.json to
 // regenerate the committed artifact.
 #include <benchmark/benchmark.h>
 
@@ -28,6 +28,8 @@
 #include <vector>
 
 #include "bigint/limbs.h"
+#include "bigint/modarith.h"
+#include "bigint/montgomery.h"
 #include "bigint/simd.h"
 #include "clsig/clsig.h"
 #include "core/params.h"
@@ -55,7 +57,7 @@ class ScopedLevel {
 // --- raw kernel throughput per width --------------------------------------
 
 struct KernelFixture {
-  std::shared_ptr<const FpCtx> F;
+  std::shared_ptr<const MontgomeryCtx> ctx;
   std::vector<FpElem> a, b, r;
   std::vector<FpCtx::MulJob> jobs;
 };
@@ -65,14 +67,15 @@ KernelFixture kernel_fx(std::size_t n) {
   Bigint m = Bigint::random_bits(rng, 64 * n - 1) + Bigint::two_pow(64 * n - 1);
   if (m.is_even()) m = m - Bigint(1);
   KernelFixture out;
-  out.F = fp_ctx(m);
+  out.ctx = montgomery_ctx(m);
+  const FpCtx& F = out.ctx->fp();
   constexpr std::size_t kJobs = 512;
   out.a.resize(kJobs);
   out.b.resize(kJobs);
   out.r.resize(kJobs);
   for (std::size_t i = 0; i < kJobs; ++i) {
-    out.a[i] = out.F->to_mont(Bigint::random_below(rng, m));
-    out.b[i] = out.F->to_mont(Bigint::random_below(rng, m));
+    out.a[i] = F.to_mont(Bigint::random_below(rng, m));
+    out.b[i] = F.to_mont(Bigint::random_below(rng, m));
     out.jobs.push_back(FpCtx::MulJob{&out.r[i], &out.a[i], &out.b[i]});
   }
   return out;
@@ -85,7 +88,7 @@ void BM_KernelMul(benchmark::State& state, std::size_t n, bool on) {
   ScopedLevel lv(on);
   state.SetLabel(simd::level_name(simd::level()));
   for (auto _ : state) {
-    f.F->mul_batch(f.jobs.data(), f.jobs.size());
+    f.ctx->fp().mul_batch(f.jobs.data(), f.jobs.size());
     benchmark::DoNotOptimize(f.r.data());
     benchmark::ClobberMemory();
   }

@@ -1,21 +1,21 @@
 // Flat-limb kernels: mpn-style fixed-width arithmetic over raw uint64_t
-// arrays, and the FpCtx/FpElem/Fp2Elem layer the pairing hot paths run on.
+// arrays, and the FpCtx/FpElem/Fp2Elem layer every Montgomery product in
+// the program runs on.
 //
 // `ppms::Bigint` pays a heap-allocated limb vector plus sign/size
-// normalization on every operation; inside a Miller loop that allocator
-// traffic is the measured floor, not the multiplies. The kernels here are
-// the GMP-`mpn` shape instead: little-endian 64-bit limb arrays of a
-// caller-known width, no allocation, no sign logic, carries returned to
-// the caller. On top of them `FpCtx` fixes one odd modulus at setup
-// (market creation) and `FpElem` is a stack-resident residue sized to it;
-// every Montgomery product runs CIOS with 64-bit limbs — half the limb
-// count and a quarter of the single-word multiplies of the 32-bit path —
+// normalization on every operation; inside a Miller loop or a modexp
+// ladder that allocator traffic is the measured floor, not the multiplies.
+// The kernels here are the GMP-`mpn` shape instead: little-endian 64-bit
+// limb arrays of a caller-known width, no allocation, no sign logic,
+// carries returned to the caller. On top of them `FpCtx` fixes one odd
+// modulus of at most 2048 bits at setup and `FpElem` is a stack-resident
+// residue sized to it; every Montgomery product runs CIOS with 64-bit limbs
 // and never touches the heap.
 //
 // Conversion discipline: `Bigint` appears only at API boundaries
-// (`to_mont` / `from_mont` / `redc_wide`). Everything between stays on raw
-// limbs. The legacy Bigint path is kept, bit-identical, as the
-// differential oracle behind the `PPMS_FLAT_LIMBS` switch below; see
+// (`to_mont` / `from_mont`). Everything between stays on raw limbs, and
+// Montgomery form never leaves FpElem. The schoolbook Bigint arithmetic
+// (`(a*b).mod(m)`, `modexp_binary`) is the differential oracle; see
 // tests/bigint/flatlimb_diff_test.cpp for the adversarial suite that pins
 // the two together.
 #pragma once
@@ -23,7 +23,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -34,23 +33,22 @@ namespace simd {
 struct MontJob;
 }
 
-/// Runtime switch for the flat-limb fast path. The compiled default is the
-/// CMake option PPMS_FLAT_LIMBS (ON unless configured out); the environment
-/// variable PPMS_FLAT_LIMBS=0/off/false (resp. 1/on/true) overrides it at
-/// process start, and tests/benches may flip it explicitly. Contexts and
-/// engines capture the flag at construction; the per-modulus caches rebuild
-/// on a mode change, so toggling is coherent but not free.
-bool flat_limbs_enabled();
-void set_flat_limbs_enabled(bool on);
+/// The flat-limb kernels are the program's only Montgomery arithmetic, so
+/// this is always true. It stays as a function because benchmark reports
+/// print it in their context block (`flat_limbs: true`), which keeps their
+/// output comparable with reports from builds that had a Bigint fallback.
+inline bool flat_limbs_enabled() { return true; }
 
 namespace limb {
 
 using Limb = std::uint64_t;
 __extension__ typedef unsigned __int128 Dlimb;  // double-limb accumulator
 
-/// Widest modulus the flat path accepts, in 64-bit limbs (2048 bits).
-/// Wider moduli stay on the Bigint oracle path.
+/// Widest modulus FpCtx accepts, in 64-bit limbs and in bits. Wider
+/// moduli have no Montgomery context: modexp sends them to the windowed
+/// Bigint ladder, and key/parameter loaders reject them.
 inline constexpr std::size_t kMaxFpLimbs = 32;
+inline constexpr std::size_t kMaxFpBits = 64 * kMaxFpLimbs;
 
 // All kernels operate on little-endian arrays of exactly `n` limbs unless
 // a separate length is given. Output may alias either input for add_n and
@@ -106,9 +104,11 @@ struct Fp2Elem {
 };
 
 /// Fixed-modulus flat-limb field context, sized to the market modulus at
-/// setup. Precomputes n0' and R², then serves allocation-free modular
-/// arithmetic on FpElem. All methods are const and thread-safe; one context
-/// is shared per modulus via `fp_ctx`.
+/// setup. Precomputes n0' and R² (R = 2^(64·limbs())), then serves
+/// allocation-free modular arithmetic on FpElem. All methods are const and
+/// thread-safe. Long-lived moduli share one context through the
+/// `montgomery_ctx` cache (bigint/modarith.h); transient ones (prime
+/// candidates) build their own.
 class FpCtx {
  public:
   /// Requires m odd, > 1 and at most kMaxFpLimbs·64 bits wide; throws
@@ -217,19 +217,14 @@ class FpCtx {
   /// Montgomery-form element back to an ordinary Bigint residue.
   Bigint from_mont(const FpElem& a) const;
 
+  /// x^e for e >= 0, x and the result in Montgomery form: sliding-window
+  /// (width 4) square-and-multiply, allocation-free.
+  FpElem pow(const FpElem& x, const Bigint& e) const;
+
   /// Copy the low limbs of a non-negative x < 2^{64·limbs()} into an FpElem
-  /// without any domain change (pack) and back (unpack). Used by the
-  /// MontgomeryCtx bridge, whose callers hold Montgomery-form Bigints.
+  /// without any domain change (pack) and back (unpack).
   FpElem pack(const Bigint& x) const;
   Bigint unpack(const FpElem& a) const;
-
-  /// t · R^{-1} mod m for any t in [0, R²) given as a Bigint — the wide
-  /// REDC that backs MontgomeryCtx::from_mont on arbitrary 2n-limb input.
-  Bigint redc_wide(const Bigint& t) const;
-
-  /// R² mod m in pack() form (the to_mont multiplier), for callers running
-  /// their own ladders.
-  const FpElem& r2() const { return r2_mod_m_; }
 
   /// One queued Montgomery product for mul_batch. The output may alias the
   /// job's own inputs, but must not alias the operands of any other job in
@@ -296,14 +291,6 @@ class FpLaneBatch {
   const FpCtx* F_;
   std::vector<FpCtx::MulJob> jobs_;
 };
-
-/// Shared per-modulus FpCtx from a process-wide cache (mirror of
-/// `montgomery_ctx`). Requires FpCtx::supports(m).
-std::shared_ptr<const FpCtx> fp_ctx(const Bigint& m);
-
-/// Number of cached flat contexts / drop the cache (tests, benches).
-std::size_t fp_ctx_cache_size();
-void fp_ctx_cache_clear();
 
 // F_p² helpers over Fp2Elem. Same 3-multiplication Karatsuba shapes as the
 // fp2.h reference implementations; outputs may alias inputs. Inversion

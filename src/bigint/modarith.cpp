@@ -30,11 +30,13 @@ namespace {
 // multiplications; below this exponent size the plain window wins.
 constexpr std::size_t kMontgomeryMinExpBits = 17;
 
-// Per-modulus context cache. Readers (the overwhelmingly common case once a
-// protocol session is warm) take a shared lock; the first exponentiation
-// against a new modulus takes the exclusive lock to insert. Bounded so a
-// workload sweeping many throwaway moduli (e.g. prime generation, which
-// deliberately bypasses the cache) cannot grow it without limit.
+// Per-modulus context cache, the only one in the program: ZKP groups, RSA
+// keys, tower primes and the pairing engine all take their context from
+// here. Readers (the overwhelmingly common case once a protocol session is
+// warm) take a shared lock; the first lookup of a new modulus takes the
+// exclusive lock to insert. Bounded so a workload sweeping many moduli
+// cannot grow it without limit. Transient moduli (prime candidates) build
+// a local MontgomeryCtx or FpCtx instead and never reach it.
 constexpr std::size_t kMontgomeryCacheCapacity = 64;
 
 struct CtxCache {
@@ -56,22 +58,16 @@ std::string ctx_cache_key(const Bigint& m) {
 }  // namespace
 
 std::shared_ptr<const MontgomeryCtx> montgomery_ctx(const Bigint& m) {
-  if (m.sign() <= 0 || m.is_even() || m.is_one()) {
-    throw std::invalid_argument("montgomery_ctx: modulus must be odd and > 1");
+  if (!FpCtx::supports(m)) {
+    throw std::invalid_argument(
+        "montgomery_ctx: modulus must be odd, > 1 and at most 2048 bits");
   }
   CtxCache& cache = ctx_cache();
   const std::string key = ctx_cache_key(m);
-  // A cached context is only good while its kernel choice matches what a
-  // fresh build would pick: contexts capture the flat-limb switch at
-  // construction, so a toggle (tests, the ablation bench) makes stale
-  // entries rebuild on their next lookup.
-  const bool want_flat = MontgomeryCtx::would_use_flat(m);
   {
     std::shared_lock lock(cache.mutex);
     const auto it = cache.map.find(key);
-    if (it != cache.map.end() && it->second->flat() == want_flat) {
-      return it->second;
-    }
+    if (it != cache.map.end()) return it->second;
   }
   // Build outside the exclusive section: the two divisions for R mod m and
   // R² mod m are exactly the cost we do not want serialized behind a lock.
@@ -83,11 +79,8 @@ std::shared_ptr<const MontgomeryCtx> montgomery_ctx(const Bigint& m) {
     // and the live moduli repopulate on their next call.
     cache.map.clear();
   }
-  auto [it, inserted] = cache.map.emplace(key, ctx);
-  if (!inserted && it->second->flat() != ctx->flat()) {
-    it->second = std::move(ctx);  // replace a stale-mode entry
-  }
-  return it->second;  // a racing thread's insert wins; both are equivalent
+  // A racing thread's insert wins; both contexts are equivalent.
+  return cache.map.emplace(key, std::move(ctx)).first->second;
 }
 
 std::size_t montgomery_cache_size() {
@@ -191,14 +184,14 @@ Bigint modexp(const Bigint& base, const Bigint& exp, const Bigint& m) {
   }
   // Explicit dispatch, in order:
   //  1. m == 1: everything is congruent to canonical zero.
-  //  2. even m: Montgomery requires an odd modulus, window handles any m.
+  //  2. even m or m wider than 2048 bits: no Montgomery context exists;
+  //     the window handles any m.
   //  3. short exponents: the per-modulus setup (even cached, the lookup)
   //     does not amortize; plain window wins.
-  //  4. odd m, long exponent: Montgomery with the shared per-modulus
-  //     context from the cache.
+  //  4. otherwise: Montgomery with the shared per-modulus context from
+  //     the cache.
   if (m.is_one()) return Bigint();
-  if (m.is_even()) return modexp_window(base, exp, m);
-  if (exp.bit_length() < kMontgomeryMinExpBits) {
+  if (!FpCtx::supports(m) || exp.bit_length() < kMontgomeryMinExpBits) {
     return modexp_window(base, exp, m);
   }
   return montgomery_ctx(m)->pow(base, exp);

@@ -2,13 +2,16 @@
 // exponentiation strategies (plain binary, sliding window, Montgomery).
 //
 // `modexp` is the facade everything else calls; it picks Montgomery for odd
-// moduli and the windowed method otherwise. The individual strategies stay
-// public for the A2 ablation benchmark.
+// moduli of at most 2048 bits and the windowed method otherwise. The
+// individual strategies stay public for the A2 ablation benchmark, and
+// `modexp_binary` is the schoolbook oracle the differential tests compare
+// against.
 //
-// Fixed-modulus fast path: the RSA, blind-signature, CL and ZKP layers fire
-// thousands of exponentiations against the same handful of moduli, so the
-// Montgomery precomputation (R mod m, R² mod m — two full divisions) is
-// cached per modulus. `montgomery_ctx(m)` returns the shared context, and
+// Fixed-modulus fast path: the RSA, blind-signature, CL, ZKP and pairing
+// layers fire thousands of exponentiations against the same handful of
+// moduli, so the Montgomery precomputation (R mod m, R² mod m — two full
+// divisions) is cached per modulus. `montgomery_ctx(m)` returns the shared
+// context — the program's one per-modulus cache — and
 // `modexp(base, exp, ctx)` lets session-lifetime callers skip even the
 // cache lookup. The facade uses the cache transparently.
 #pragma once
@@ -39,8 +42,9 @@ Bigint modexp(const Bigint& base, const Bigint& exp,
 
 /// Shared per-modulus Montgomery context from the process-wide cache
 /// (created on first use; later calls for the same modulus are a
-/// shared-lock lookup). Requires m odd and > 1, like MontgomeryCtx itself.
-/// The returned pointer stays valid even if the cache is cleared.
+/// shared-lock lookup). Requires FpCtx::supports(m), like MontgomeryCtx
+/// itself; throws std::invalid_argument otherwise. The returned pointer
+/// stays valid even if the cache is cleared.
 std::shared_ptr<const MontgomeryCtx> montgomery_ctx(const Bigint& m);
 
 /// Number of cached Montgomery contexts (observability for tests/bench).
@@ -55,9 +59,10 @@ Bigint modexp_binary(const Bigint& base, const Bigint& exp, const Bigint& m);
 /// Sliding-window exponentiation (window 4) without Montgomery form.
 Bigint modexp_window(const Bigint& base, const Bigint& exp, const Bigint& m);
 
-/// Montgomery-form sliding-window exponentiation. Requires m odd; m == 1
-/// yields canonical zero like the other strategies. Builds a throwaway
-/// context — the uncached baseline the ablation bench compares against.
+/// Montgomery-form sliding-window exponentiation. Requires m odd and at
+/// most 2048 bits; m == 1 yields canonical zero like the other strategies.
+/// Builds a throwaway context — the uncached baseline the ablation bench
+/// compares against.
 Bigint modexp_montgomery(const Bigint& base, const Bigint& exp,
                          const Bigint& m);
 

@@ -1,13 +1,16 @@
-// Montgomery multiplication context for a fixed odd modulus.
+// Montgomery exponentiation context for a fixed odd modulus.
 //
-// Precomputes n0' = -m^{-1} mod 2^32 and R^2 mod m once, then performs
-// CIOS (coarsely integrated operand scanning) Montgomery products on raw
-// limb vectors. One context is typically reused for an entire protocol
-// session (RSA key, pairing field, ZKP group), which is where the speedup
-// over division-based reduction comes from.
+// A thin facade over one owned FpCtx (bigint/limbs.h): the context pays
+// the n0' and R² mod m setup once, and every exponentiation under it runs
+// on the flat 64-bit-limb kernels. One context is typically reused for an
+// entire protocol session (RSA key, pairing field, ZKP group), which is
+// where the speedup over division-based reduction comes from. Montgomery
+// form never appears in this API: callers hand in and get back ordinary
+// residues, and callers that run their own ladders (ZnGroup::pow2, the
+// Miller-Rabin witness loop, the pairing engine) work on FpElem through
+// fp().
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -18,61 +21,21 @@ namespace ppms {
 
 class MontgomeryCtx {
  public:
-  /// Requires m odd and > 1; throws std::invalid_argument otherwise.
+  /// Requires FpCtx::supports(m): m odd, > 1 and at most 2048 bits wide.
+  /// Throws std::invalid_argument otherwise.
   explicit MontgomeryCtx(const Bigint& m);
 
-  const Bigint& modulus() const { return m_; }
+  const Bigint& modulus() const { return fp_.modulus(); }
 
-  /// True when this context runs Montgomery products on the flat 64-bit
-  /// kernels (decided at construction — see would_use_flat).
-  bool flat() const { return fp_ != nullptr; }
-
-  /// The flat-limb field context backing this ctx's fast path, or nullptr
-  /// on the 32-bit oracle path. Lets callers that hold Montgomery-form
-  /// Bigints (FixedBasePow, batch verifiers) drop to FpElem arrays and the
-  /// lane-batched FpCtx::mul_batch; pack()/unpack() cross the boundary
-  /// without any domain change.
-  const FpCtx* flat_ctx() const { return fp_.get(); }
-
-  /// Whether a context built right now for m would take the flat path:
-  /// the runtime switch is on, the modulus fits the flat layer, and its
-  /// 32-bit limb count is even. The parity condition keeps the externally
-  /// visible Montgomery domain at R = 2^(32·limbs): with an even count the
-  /// 64-bit kernels' R' = 2^(64·ceil(limbs/2)) is the same constant, so the
-  /// two paths are interchangeable bit for bit; odd-width moduli stay on
-  /// the 32-bit oracle path.
-  static bool would_use_flat(const Bigint& m);
-
-  /// x * R mod m (entry into Montgomery domain).
-  Bigint to_mont(const Bigint& x) const;
-
-  /// x * R^{-1} mod m (exit from Montgomery domain).
-  Bigint from_mont(const Bigint& x) const;
-
-  /// Montgomery product: a * b * R^{-1} mod m, for a, b already in
-  /// Montgomery form.
-  Bigint mul(const Bigint& a, const Bigint& b) const;
-
-  /// 1 in Montgomery form (R mod m). Starting accumulator for callers that
-  /// run their own exponentiation ladders in the Montgomery domain.
-  const Bigint& mont_one() const { return r_mod_m_; }
+  /// The field context every product under this modulus runs on.
+  const FpCtx& fp() const { return fp_; }
 
   /// base^exp mod m via sliding-window exponentiation in the Montgomery
-  /// domain (base in ordinary form; result in ordinary form). exp >= 0.
+  /// domain (base any integer; result in [0, m)). exp >= 0.
   Bigint pow(const Bigint& base, const Bigint& exp) const;
 
  private:
-  std::vector<std::uint32_t> reduce(
-      const std::vector<std::uint32_t>& t) const;
-
-  Bigint m_;
-  std::vector<std::uint32_t> m_limbs_;
-  std::uint32_t n0_;   // -m^{-1} mod 2^32
-  Bigint r_mod_m_;     // R mod m
-  Bigint r2_mod_m_;    // R^2 mod m
-  // Flat-limb fast path (null on the 32-bit oracle path). Same R, so every
-  // externally visible value is bit-identical between the two.
-  std::shared_ptr<const FpCtx> fp_;
+  FpCtx fp_;
 };
 
 /// Fixed-base exponentiation with a radix-16 digit table: base^(d·16^i) is
@@ -99,12 +62,9 @@ class FixedBasePow {
   std::shared_ptr<const MontgomeryCtx> ctx_;
   Bigint base_;
   // table_[i][d-1] = base^(d · 16^i) in Montgomery form, d in 1..15.
-  std::vector<std::vector<Bigint>> table_;
-  // Flat mirror of table_ (pack() form), built when ctx_ runs the flat
-  // path. pow() then gathers the selected digit entries and folds them as
-  // a balanced tree through the lane-batched FpCtx::mul_batch — the same
-  // canonical product the sequential chain computes, bit for bit.
-  std::vector<std::vector<FpElem>> flat_table_;
+  // pow() gathers the selected digit entries and folds them as a balanced
+  // tree through the lane-batched FpCtx::mul_batch.
+  std::vector<std::vector<FpElem>> table_;
 };
 
 }  // namespace ppms

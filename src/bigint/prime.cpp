@@ -1,32 +1,68 @@
 #include "bigint/prime.h"
 
+#include <optional>
 #include <stdexcept>
 
+#include "bigint/limbs.h"
 #include "bigint/modarith.h"
-#include "bigint/montgomery.h"
 
 namespace ppms {
 
 namespace {
 
-// One Miller-Rabin witness against a context whose modulus is n, with
-// n - 1 = d·2^s already decomposed. The squaring chain stays in the
-// Montgomery domain; only the comparisons need the precomputed images of 1
-// and n-1. Reusing one ctx across every round/witness is what makes
-// candidate testing cheap: the R/R² setup divisions are paid once per
-// candidate instead of once per witness.
-bool miller_rabin_witness(const MontgomeryCtx& ctx, const Bigint& d,
-                          std::size_t s, const Bigint& base,
-                          const Bigint& one_mont, const Bigint& n1_mont) {
-  Bigint x = ctx.to_mont(ctx.pow(base, d));
-  if (x == one_mont || x == n1_mont) return true;
-  for (std::size_t i = 1; i < s; ++i) {
-    x = ctx.mul(x, x);
-    if (x == n1_mont) return true;
-    if (x == one_mont) return false;  // nontrivial sqrt of 1 => composite
+// Miller-Rabin witness test for one odd candidate n > 3, with
+// n - 1 = d·2^s decomposed once. For n that FpCtx holds, the squaring
+// chain stays in the Montgomery domain of a context built once per
+// candidate, so the R/R² setup divisions are paid once per candidate
+// instead of once per witness; canonical residues compare equal exactly
+// when the values do. The context is local, not from montgomery_ctx:
+// candidates are throwaway moduli, and inserting them into the shared
+// cache would evict the live session moduli. Wider candidates run the
+// same test on schoolbook Bigint.
+class MillerRabin {
+ public:
+  explicit MillerRabin(const Bigint& n) : n_(n), n1_(n - Bigint(1)), d_(n1_) {
+    while (d_.is_even()) {
+      d_ = d_ >> 1;
+      ++s_;
+    }
+    if (FpCtx::supports(n)) {
+      F_.emplace(n);
+      n1_mont_ = F_->to_mont(n1_);
+    }
   }
-  return false;
-}
+
+  /// False when `base` witnesses that n is composite.
+  bool passes(const Bigint& base) const {
+    if (!F_) return passes_wide(base);
+    const FpCtx& F = *F_;
+    FpElem x = F.pow(F.to_mont(base), d_);
+    if (F.equal(x, F.one()) || F.equal(x, n1_mont_)) return true;
+    for (std::size_t i = 1; i < s_; ++i) {
+      F.sqr(x, x);
+      if (F.equal(x, n1_mont_)) return true;
+      if (F.equal(x, F.one())) return false;  // nontrivial sqrt of 1
+    }
+    return false;
+  }
+
+ private:
+  bool passes_wide(const Bigint& base) const {
+    Bigint x = modexp(base, d_, n_);
+    if (x.is_one() || x == n1_) return true;
+    for (std::size_t i = 1; i < s_; ++i) {
+      x = (x * x).mod(n_);
+      if (x == n1_) return true;
+      if (x.is_one()) return false;
+    }
+    return false;
+  }
+
+  Bigint n_, n1_, d_;
+  std::size_t s_ = 0;
+  std::optional<FpCtx> F_;
+  FpElem n1_mont_;
+};
 
 }  // namespace
 
@@ -98,17 +134,11 @@ bool is_prime_u64(std::uint64_t n) {
 }
 
 bool miller_rabin_round(const Bigint& n, const Bigint& base) {
-  // Write n - 1 = d * 2^s with d odd.
-  const Bigint n_minus_1 = n - Bigint(1);
-  Bigint d = n_minus_1;
-  std::size_t s = 0;
-  while (d.is_even()) {
-    d = d >> 1;
-    ++s;
+  // n - 1 must have an odd part: for n = 1 the decomposition never ends.
+  if (n < Bigint(3) || n.is_even()) {
+    throw std::invalid_argument("miller_rabin_round: n must be odd and > 2");
   }
-  const MontgomeryCtx ctx(n);
-  return miller_rabin_witness(ctx, d, s, base, ctx.mont_one(),
-                              ctx.to_mont(n_minus_1));
+  return MillerRabin(n).passes(base);
 }
 
 bool is_probable_prime(const Bigint& n, SecureRandom& rng, int rounds) {
@@ -119,24 +149,10 @@ bool is_probable_prime(const Bigint& n, SecureRandom& rng, int rounds) {
   // Values below 2048^2 that survive the sieve are prime.
   if (n < Bigint(2048LL * 2048LL)) return true;
 
-  // Decompose n - 1 = d·2^s and build the Montgomery context once; every
-  // witness reuses both. Deliberately a local context, not the shared
-  // cache: candidates are throwaway moduli and would only thrash it.
-  const Bigint n_minus_1 = n - Bigint(1);
-  Bigint d = n_minus_1;
-  std::size_t s = 0;
-  while (d.is_even()) {
-    d = d >> 1;
-    ++s;
-  }
-  const MontgomeryCtx ctx(n);
-  const Bigint one_mont = ctx.mont_one();
-  const Bigint n1_mont = ctx.to_mont(n_minus_1);
-
+  const MillerRabin mr(n);
   const Bigint n_minus_2 = n - Bigint(2);
   for (int i = 0; i < rounds; ++i) {
-    const Bigint base = Bigint::random_range(rng, Bigint(2), n_minus_2);
-    if (!miller_rabin_witness(ctx, d, s, base, one_mont, n1_mont)) {
+    if (!mr.passes(Bigint::random_range(rng, Bigint(2), n_minus_2))) {
       return false;
     }
   }

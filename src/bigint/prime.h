@@ -20,7 +20,7 @@ const std::vector<std::uint32_t>& small_primes();
 bool has_small_factor(const Bigint& n);
 
 /// One Miller-Rabin round with the given base; true = "probably prime".
-/// Requires n odd and > 2.
+/// Requires n odd and > 2 (std::invalid_argument otherwise).
 bool miller_rabin_round(const Bigint& n, const Bigint& base);
 
 /// Deterministic primality for 64-bit inputs (Miller-Rabin with the twelve

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "pairing/pipeline.h"
-#include "pairing/tate.h"
 #include "pairing/typea.h"
 #include "util/rng.h"
 

@@ -5,12 +5,8 @@
 
 namespace ppms {
 
-DecSession::DecSession(TypeAParams pairing) : gt_(std::move(pairing)) {
-  if (gt_.engine() == nullptr) {
-    throw std::invalid_argument("DecSession: pairing modulus not odd");
-  }
-  pre_g_ = gt_.engine()->precompute(gt_.params().g);
-}
+DecSession::DecSession(TypeAParams pairing)
+    : gt_(std::move(pairing)), pre_g_(engine().precompute(gt_.params().g)) {}
 
 std::shared_ptr<const ClPkPrecomp> DecSession::pk_tables(
     const ClPublicKey& pk) const {

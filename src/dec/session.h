@@ -29,9 +29,8 @@ class DecSession {
 
   const GtGroup& gt() const { return gt_; }
 
-  /// The group's engine; never null for validated DEC parameters (the
-  /// pairing field prime is checked odd at setup/deserialize time).
-  const PairingEngine& engine() const { return *gt_.engine(); }
+  /// The group's pairing engine.
+  const PairingEngine& engine() const { return gt_.engine(); }
 
   /// Miller table for the curve generator g.
   const PairingPrecomp& pre_g() const { return pre_g_; }

@@ -1,13 +1,12 @@
 // Pairing pipeline: fixed-argument Miller precomputation, products of
-// pairings, and a session-lifetime Montgomery-domain engine.
+// pairings, and a session-lifetime engine on the flat-limb field kernels.
 //
 // The protocol's pairing equations all have the shape
 //     ê(P_1,Q_1)^{e_1} · ê(P_2,Q_2)^{e_2} · ... == 1  (or == some GT value)
 // where the first arguments are a handful of per-market constants (the
 // curve generator g, the bank's CL key points X and Y — the pairing is
 // symmetric, so every equation can be oriented constant-first). Three
-// observations make this much cheaper than independent `tate_pairing`
-// calls:
+// observations make this much cheaper than independent pairings:
 //
 //  * the Miller loop's line coefficients depend only on the first point
 //    and the bits of r, so a fixed P can be "compiled" once into a
@@ -17,9 +16,10 @@
 //    product of k pairings needs only one of them (`pair_product`
 //    combines the Miller values first); an inverted factor costs nothing
 //    extra because FE(conj(f)) = FE(f)^{-1};
-//  * every F_p product can run in the Montgomery domain of the shared
-//    per-modulus context (bigint/montgomery.h), entering once per pairing
-//    and leaving once at the end.
+//  * every F_p product runs on stack-resident FpElem residues in the
+//    Montgomery domain of the shared per-modulus context
+//    (montgomery_ctx(p), bigint/limbs.h), entering once per pairing and
+//    leaving once at the end, with independent products lane-batched.
 //
 // All of this is exact, not approximate: each fast path produces results
 // bit-identical to the `tate_pairing_affine` oracle (see
@@ -35,7 +35,6 @@
 
 namespace ppms {
 
-class FpCtx;
 class MontgomeryCtx;
 class PairingEngine;
 
@@ -55,26 +54,17 @@ class PairingPrecomp {
  private:
   friend class PairingEngine;
 
-  // One Miller-loop event. Coefficients are stored in Montgomery form;
-  // the line value at φ(Q) = (-xq, i·yq) is (c0 + c1·xq) + (c2·yq)·i.
-  // Doubling events fold a squaring of the accumulator, addition events
-  // do not (this mirrors the loop structure bit for bit, including the
-  // degenerate vertical/infinity events, which encode the constant 1 as
-  // (1, 0, 0)).
-  struct Step {
-    Bigint c0, c1, c2;
-    bool add = false;
-  };
-
+  // One Miller-loop event per step, in loop order. Coefficients are
+  // stored in the engine's Montgomery form, c0‖c1‖c2 per step with
+  // `limbs_` 64-bit limbs each; the line value at φ(Q) = (-xq, i·yq) is
+  // (c0 + c1·xq) + (c2·yq)·i. Doubling events fold a squaring of the
+  // accumulator, addition events (adds_[i] set) do not. This mirrors the
+  // loop structure bit for bit, including the degenerate vertical/infinity
+  // events, which encode the constant 1 as (1, 0, 0).
   EcPoint point_;
-  std::vector<Step> steps_;
-  // Flat-limb mirror of steps_ (same step order, c0‖c1‖c2 per step,
-  // flat_limbs_ 64-bit limbs per coefficient, Montgomery form of the flat
-  // context). Filled only when the table was compiled by a flat-mode
-  // engine; steps_ is always filled, so a table built in either mode can
-  // be replayed by an engine in either mode.
-  std::vector<std::uint64_t> flat_coeffs_;
-  std::size_t flat_limbs_ = 0;
+  std::vector<std::uint64_t> coeffs_;
+  std::vector<bool> adds_;
+  std::size_t limbs_ = 0;
   bool built_ = false;
 };
 
@@ -91,20 +81,15 @@ struct PairingTerm {
 };
 
 /// Session-lifetime pairing engine for one set of Type-A parameters.
-/// Construction is cheap (the Montgomery context is shared per modulus),
-/// but callers that hold one across calls also amortize the precomp
-/// tables they build. All methods are const and thread-safe.
+/// Construction is cheap (the field context is shared per modulus through
+/// montgomery_ctx), but callers that hold one across calls also amortize
+/// the precomp tables they build. All methods are const and thread-safe.
 class PairingEngine {
  public:
+  /// Throws std::invalid_argument unless typea_field_supported(params.p).
   explicit PairingEngine(TypeAParams params);
 
   const TypeAParams& params() const { return params_; }
-
-  /// True when this engine runs its Miller loops and GT arithmetic on the
-  /// flat-limb kernels (bigint/limbs.h). Captured at construction from the
-  /// PPMS_FLAT_LIMBS switch; either mode is bit-identical to the other and
-  /// to the tate_pairing_affine oracle.
-  bool flat() const { return fp_ != nullptr; }
 
   /// Compile the Miller line table for fixed first argument P. Validates
   /// P on-curve once (std::invalid_argument otherwise); the table costs
@@ -112,10 +97,11 @@ class PairingEngine {
   /// pairings against it.
   PairingPrecomp precompute(const EcPoint& P) const;
 
-  /// ê(P, Q), bit-identical to tate_pairing / tate_pairing_affine.
+  /// ê(P, Q), bit-identical to the tate_pairing_affine oracle.
   Fp2 pair(const EcPoint& P, const EcPoint& Q) const;
 
-  /// ê(pre.point(), Q) via the compiled table.
+  /// ê(pre.point(), Q) via the compiled table, which must come from an
+  /// engine over the same field (std::invalid_argument for another width).
   Fp2 pair(const PairingPrecomp& pre, const EcPoint& Q) const;
 
   /// ∏_i ê(P_i, Q_i)^{±e_i} with one final exponentiation for the whole
@@ -135,9 +121,11 @@ class PairingEngine {
               const Bigint& e2) const;
 
  private:
+  /// Throws unless `pre` was built by an engine over this field's width.
+  void check_table(const PairingPrecomp& pre) const;
+
   TypeAParams params_;
   std::shared_ptr<const MontgomeryCtx> mont_;
-  std::shared_ptr<const FpCtx> fp_;  // null on the Bigint oracle path
 };
 
 }  // namespace ppms

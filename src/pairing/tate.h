@@ -1,30 +1,23 @@
-// Tate pairing on the Type-A curve, via Miller's algorithm.
+// Reference Tate pairing on the Type-A curve, via Miller's algorithm.
 //
-// `tate_pairing(params, P, Q)` computes the symmetric pairing
+// `tate_pairing_affine(params, P, Q)` computes the symmetric pairing
 // ê(P, Q) = f_{r,P}(φ(Q))^{(p²-1)/r} with the distortion map
 // φ(x, y) = (-x, i·y). Vertical lines evaluate into F_p and are killed by
 // the (p-1) factor of the final exponentiation, so the Miller loop skips
 // them (standard denominator elimination for even embedding degree).
+//
+// This is the differential oracle, written for clarity on schoolbook
+// Bigint arithmetic; production pairings run on PairingEngine
+// (pairing/pipeline.h), which must agree with it bit for bit.
 #pragma once
 
 #include "pairing/typea.h"
 
 namespace ppms {
 
-/// ê(P, Q) in GT ⊂ F_p². Both inputs must lie on the curve; points at
-/// infinity yield 1 (the identity of GT).
-///
-/// The Miller loop runs in Jacobian coordinates: every line value carries
-/// an extra factor in F_p* that the (p-1) part of the final exponentiation
-/// kills, so no per-step field inversion is needed — the whole pairing
-/// performs exactly one inversion (inside the final fp2_inv).
-Fp2 tate_pairing(const TypeAParams& params, const EcPoint& P,
-                 const EcPoint& Q);
-
-/// Reference implementation with the textbook affine Miller loop (one
-/// field inversion per doubling/addition step). Kept as the oracle for
-/// the projective loop: both must agree bit-for-bit after the final
-/// exponentiation.
+/// ê(P, Q) in GT ⊂ F_p² with the textbook affine Miller loop (one field
+/// inversion per doubling/addition step). Both inputs must lie on the
+/// curve (std::invalid_argument otherwise); points at infinity yield 1.
 Fp2 tate_pairing_affine(const TypeAParams& params, const EcPoint& P,
                         const EcPoint& Q);
 

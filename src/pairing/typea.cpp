@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "bigint/limbs.h"
 #include "bigint/prime.h"
 #include "util/serial.h"
 
@@ -16,10 +17,18 @@ Bytes TypeAParams::serialize() const {
   return w.take();
 }
 
+bool typea_field_supported(const Bigint& p) {
+  return FpCtx::supports(p) && (p % Bigint(4)).to_u64() == 3;
+}
+
 TypeAParams TypeAParams::deserialize(const Bytes& data) {
   Reader rd(data);
   TypeAParams params;
   params.p = Bigint::from_bytes_be(rd.get_bytes());
+  if (!typea_field_supported(params.p)) {
+    throw std::invalid_argument(
+        "TypeAParams: p must be = 3 (mod 4) and at most 2048 bits");
+  }
   params.r = Bigint::from_bytes_be(rd.get_bytes());
   params.h = Bigint::from_bytes_be(rd.get_bytes());
   params.g = ec_deserialize(rd.get_bytes(), params.p);

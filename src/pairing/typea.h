@@ -19,9 +19,16 @@ struct TypeAParams {
   EcPoint g;  ///< generator of the order-r subgroup
 
   /// Canonical serialization for publishing in market setup messages.
+  /// deserialize throws std::invalid_argument for malformed data, for
+  /// r·h != p + 1 and for a p that fails typea_field_supported.
   Bytes serialize() const;
   static TypeAParams deserialize(const Bytes& data);
 };
+
+/// True when p can be a Type-A field prime this program serves: p ≡ 3
+/// (mod 4), which the distortion map needs, and at most 2048 bits wide,
+/// which the flat-limb field kernels hold. Primality is not checked.
+bool typea_field_supported(const Bigint& p);
 
 /// Generate fresh parameters with an `rbits`-bit group order inside a
 /// field of roughly `pbits` bits (pbits > rbits + 3).

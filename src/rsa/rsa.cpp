@@ -1,7 +1,9 @@
 #include "rsa/rsa.h"
 
 #include <stdexcept>
+#include <string>
 
+#include "bigint/limbs.h"
 #include "bigint/modarith.h"
 #include "bigint/prime.h"
 #include "hash/mgf1.h"
@@ -18,6 +20,19 @@ Bytes RsaPublicKey::serialize() const {
   return w.take();
 }
 
+namespace {
+
+// Every RSA operation runs on the modulus's Montgomery context, which
+// holds at most 2048 bits; wider key material is rejected at load.
+void check_modulus_width(const Bigint& n, const char* what) {
+  if (n.bit_length() > limb::kMaxFpBits) {
+    throw std::invalid_argument(std::string(what) +
+                                ": modulus wider than 2048 bits");
+  }
+}
+
+}  // namespace
+
 RsaPublicKey RsaPublicKey::deserialize(const Bytes& data) {
   Reader r(data);
   RsaPublicKey key;
@@ -26,6 +41,7 @@ RsaPublicKey RsaPublicKey::deserialize(const Bytes& data) {
   if (!r.exhausted()) {
     throw std::invalid_argument("RsaPublicKey: trailing bytes");
   }
+  check_modulus_width(key.n, "RsaPublicKey");
   return key;
 }
 
@@ -49,6 +65,7 @@ RsaPrivateKey RsaPrivateKey::deserialize(const Bytes& data) {
   if (!r.exhausted()) {
     throw std::invalid_argument("RsaPrivateKey: trailing bytes");
   }
+  check_modulus_width(key.n, "RsaPrivateKey");
   // Structural validation: a corrupted private key must not silently
   // produce wrong signatures/decryptions.
   if (key.p * key.q != key.n) {
@@ -68,8 +85,9 @@ RsaPrivateKey RsaPrivateKey::deserialize(const Bytes& data) {
 
 RsaKeyPair rsa_generate(SecureRandom& rng, std::size_t bits,
                         const Bigint& e) {
-  if (bits < 32 || bits % 2 != 0) {
-    throw std::invalid_argument("rsa_generate: bits must be even and >= 32");
+  if (bits < 32 || bits % 2 != 0 || bits > limb::kMaxFpBits) {
+    throw std::invalid_argument(
+        "rsa_generate: bits must be even and in [32, 2048]");
   }
   if (e.is_even() || e < Bigint(3)) {
     throw std::invalid_argument("rsa_generate: e must be odd and >= 3");
@@ -107,12 +125,12 @@ Bigint rsa_public_op(const RsaPublicKey& key, const Bigint& m) {
   if (m.is_negative() || m >= key.n) {
     throw std::invalid_argument("rsa_public_op: message out of range");
   }
-  // An honest n = p·q is odd; the shared context makes the verify-heavy
-  // paths (blind-signature deposit checks, market-wide signature
-  // validation) pay the Montgomery setup once per key instead of once per
-  // call. Degenerate even moduli (hostile key material) still compute.
-  if (key.n.is_even()) return modexp(m, key.e, key.n);
-  return modexp(m, key.e, *montgomery_ctx(key.n));
+  // An honest n = p·q is odd; the facade's shared per-modulus context
+  // makes the verify-heavy paths (blind-signature deposit checks,
+  // market-wide signature validation) pay the Montgomery setup once per
+  // key instead of once per call. Degenerate even moduli (hostile key
+  // material) still compute, on the windowed ladder.
+  return modexp(m, key.e, key.n);
 }
 
 Bigint rsa_private_op(const RsaPrivateKey& key, const Bigint& c) {
@@ -124,14 +142,9 @@ Bigint rsa_private_op(const RsaPrivateKey& key, const Bigint& c) {
     throw std::invalid_argument("rsa_private_op: input out of range");
   }
   // CRT: m_p = c^dp mod p, m_q = c^dq mod q, recombine with Garner. The
-  // prime-modulus contexts are cached per key factor (honest factors are
-  // odd; anything else falls back to the general facade).
-  const auto crt_half = [&c](const Bigint& d, const Bigint& prime) {
-    return prime.is_odd() ? modexp(c, d, *montgomery_ctx(prime))
-                          : modexp(c, d, prime);
-  };
-  const Bigint mp = crt_half(key.dp, key.p);
-  const Bigint mq = crt_half(key.dq, key.q);
+  // facade caches the prime-modulus contexts per key factor.
+  const Bigint mp = modexp(c, key.dp, key.p);
+  const Bigint mq = modexp(c, key.dq, key.q);
   const Bigint h = (key.qinv * (mp - mq)).mod(key.p);
   return mq + h * key.q;
 }

@@ -23,7 +23,8 @@ struct RsaPublicKey {
   /// Size of the modulus in whole bytes (ciphertext/signature width).
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
 
-  /// Canonical wire encoding (length-prefixed n, e).
+  /// Canonical wire encoding (length-prefixed n, e). deserialize throws
+  /// std::invalid_argument for trailing bytes or an n wider than 2048 bits.
   Bytes serialize() const;
   static RsaPublicKey deserialize(const Bytes& data);
 
@@ -46,8 +47,9 @@ struct RsaPrivateKey {
   /// result confidentially; consider secure_wipe on intermediate copies).
   Bytes serialize() const;
 
-  /// Load and validate: n == p·q, CRT parameters consistent, e·d ≡ 1
-  /// (mod lambda). Throws std::invalid_argument on any inconsistency.
+  /// Load and validate: n at most 2048 bits, n == p·q, CRT parameters
+  /// consistent, e·d ≡ 1 (mod lambda). Throws std::invalid_argument on any
+  /// inconsistency.
   static RsaPrivateKey deserialize(const Bytes& data);
 };
 
@@ -56,9 +58,9 @@ struct RsaKeyPair {
   RsaPrivateKey priv;
 };
 
-/// Generate an RSA key with modulus of exactly `bits` bits (bits >= 32,
-/// even). The default exponent is 65537; generation retries primes until
-/// gcd(e, lambda(n)) == 1.
+/// Generate an RSA key with modulus of exactly `bits` bits (even, in
+/// [32, 2048]; std::invalid_argument otherwise). The default exponent is
+/// 65537; generation retries primes until gcd(e, lambda(n)) == 1.
 RsaKeyPair rsa_generate(SecureRandom& rng, std::size_t bits,
                         const Bigint& e = Bigint(65537));
 

@@ -25,9 +25,9 @@ ZnGroup::ZnGroup(Bigint modulus, Bigint order, Bigint generator)
   }
   // A group lives for a whole protocol session; grab the shared
   // per-modulus context once so every pow/pow2/contains call skips the
-  // Montgomery setup. Tower moduli are odd primes; the even case only
-  // arises in adversarial tests and falls back to the facade.
-  if (modulus_.is_odd()) mont_ = montgomery_ctx(modulus_);
+  // Montgomery setup. Tower moduli are odd primes well inside FpCtx's
+  // width; other moduli (adversarial tests) fall back to the facade.
+  if (FpCtx::supports(modulus_)) mont_ = montgomery_ctx(modulus_);
   if (!pow_raw(generator_, order_).is_one()) {
     throw std::invalid_argument("ZnGroup: generator order mismatch");
   }
@@ -73,24 +73,26 @@ Bytes ZnGroup::pow2(const Bytes& base1, const Bigint& e1, const Bytes& base2,
   const Bigint eb = e2.mod(order_);
   // Shamir/Straus interleaving: one shared squaring chain over the joint
   // bit length, with {a, b, a·b} precomputed in the Montgomery domain.
-  const Bigint a = mont_->to_mont(decode(base1));
-  const Bigint b = mont_->to_mont(decode(base2));
-  const Bigint ab = mont_->mul(a, b);
-  Bigint acc = mont_->mont_one();
+  const FpCtx& F = mont_->fp();
+  const FpElem a = F.to_mont(decode(base1));
+  const FpElem b = F.to_mont(decode(base2));
+  FpElem ab;
+  F.mul(ab, a, b);
+  FpElem acc = F.one();
   const std::size_t bits = std::max(ea.bit_length(), eb.bit_length());
   for (std::size_t i = bits; i-- > 0;) {
-    acc = mont_->mul(acc, acc);
+    F.sqr(acc, acc);
     const bool ba = ea.bit(i);
     const bool bb = eb.bit(i);
     if (ba && bb) {
-      acc = mont_->mul(acc, ab);
+      F.mul(acc, acc, ab);
     } else if (ba) {
-      acc = mont_->mul(acc, a);
+      F.mul(acc, acc, a);
     } else if (bb) {
-      acc = mont_->mul(acc, b);
+      F.mul(acc, acc, b);
     }
   }
-  return encode(mont_->from_mont(acc));
+  return encode(F.from_mont(acc));
 }
 
 Bytes ZnGroup::inv(const Bytes& a) const {
@@ -200,15 +202,12 @@ Bytes EcGroup::describe() const {
 
 // --- GtGroup ----------------------------------------------------------------
 
-GtGroup::GtGroup(TypeAParams params) : params_(std::move(params)) {
-  // Same session-lifetime reasoning as ZnGroup: the engine holds the
-  // shared Montgomery context for p, so pairings and GT exponentiations
-  // skip the per-call setup. Even moduli (adversarial deserialization
-  // only) keep engine_ null and use the division-based facade.
-  if (params_.p.is_odd()) {
-    engine_ = std::make_shared<const PairingEngine>(params_);
-  }
-}
+GtGroup::GtGroup(TypeAParams params)
+    : params_(std::move(params)),
+      // Same session-lifetime reasoning as ZnGroup: the engine holds the
+      // shared field context for p, so pairings and GT exponentiations
+      // skip the per-call setup. It also rejects a p it cannot serve.
+      engine_(std::make_shared<const PairingEngine>(params_)) {}
 
 Bytes GtGroup::encode(const Fp2& x) const {
   return fp2_serialize(x, params_.p);
@@ -219,21 +218,14 @@ Fp2 GtGroup::decode(const Bytes& a) const {
 }
 
 Bytes GtGroup::pair(const EcPoint& P, const EcPoint& Q) const {
-  if (engine_) return encode(engine_->pair(P, Q));
-  return encode(tate_pairing(params_, P, Q));
+  return encode(engine_->pair(P, Q));
 }
 
 Bytes GtGroup::pair(const PairingPrecomp& pre, const EcPoint& Q) const {
-  if (!engine_) {
-    throw std::invalid_argument("GtGroup: no pairing engine (even modulus)");
-  }
   return encode(engine_->pair(pre, Q));
 }
 
 Bytes GtGroup::pair_product(const std::vector<PairingTerm>& terms) const {
-  if (!engine_) {
-    throw std::invalid_argument("GtGroup: no pairing engine (even modulus)");
-  }
   return encode(engine_->pair_product(terms));
 }
 
@@ -244,35 +236,13 @@ Bytes GtGroup::op(const Bytes& a, const Bytes& b) const {
 }
 
 Bytes GtGroup::pow(const Bytes& base, const Bigint& exp) const {
-  if (engine_) return encode(engine_->gt_pow(decode(base), exp.mod(params_.r)));
-  return encode(fp2_pow(decode(base), exp.mod(params_.r), params_.p));
+  return encode(engine_->gt_pow(decode(base), exp.mod(params_.r)));
 }
 
 Bytes GtGroup::pow2(const Bytes& base1, const Bigint& e1, const Bytes& base2,
                     const Bigint& e2) const {
-  const Bigint ea = e1.mod(params_.r);
-  const Bigint eb = e2.mod(params_.r);
-  if (engine_) {
-    return encode(engine_->gt_pow2(decode(base1), ea, decode(base2), eb));
-  }
-  const Fp2 a = decode(base1);
-  const Fp2 b = decode(base2);
-  const Fp2 ab = fp2_mul(a, b, params_.p);
-  Fp2 acc = fp2_one();
-  const std::size_t bits = std::max(ea.bit_length(), eb.bit_length());
-  for (std::size_t i = bits; i-- > 0;) {
-    acc = fp2_square(acc, params_.p);
-    const bool ba = ea.bit(i);
-    const bool bb = eb.bit(i);
-    if (ba && bb) {
-      acc = fp2_mul(acc, ab, params_.p);
-    } else if (ba) {
-      acc = fp2_mul(acc, a, params_.p);
-    } else if (bb) {
-      acc = fp2_mul(acc, b, params_.p);
-    }
-  }
-  return encode(acc);
+  return encode(engine_->gt_pow2(decode(base1), e1.mod(params_.r),
+                                 decode(base2), e2.mod(params_.r)));
 }
 
 Bytes GtGroup::inv(const Bytes& a) const {
@@ -287,8 +257,7 @@ bool GtGroup::contains(const Bytes& a) const {
     return false;
   }
   if (x.a.is_zero() && x.b.is_zero()) return false;
-  if (engine_) return fp2_is_one(engine_->gt_pow(x, params_.r));
-  return fp2_is_one(fp2_pow(x, params_.r, params_.p));
+  return fp2_is_one(engine_->gt_pow(x, params_.r));
 }
 
 Bytes GtGroup::describe() const {

@@ -12,7 +12,6 @@
 
 #include "bigint/bigint.h"
 #include "pairing/pipeline.h"
-#include "pairing/tate.h"
 #include "pairing/typea.h"
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -82,7 +81,8 @@ class ZnGroup final : public Group {
   /// the Montgomery domain), built lazily on first call and shared by
   /// copies made afterwards: ~order_bits/4 multiplications and no
   /// squarings per exponentiation, against a square-and-multiply chain
-  /// for pow(generator(), exp). Falls back to pow() for even moduli.
+  /// for pow(generator(), exp). Falls back to pow() for moduli without a
+  /// Montgomery context (even, or wider than 2048 bits).
   Bytes pow_gen(const Bigint& exp) const;
 
   const Bigint& order() const override { return order_; }
@@ -102,8 +102,8 @@ class ZnGroup final : public Group {
 
   Bigint modulus_, order_, generator_;
   std::size_t width_;
-  /// Session-lifetime Montgomery context for modulus_ (null for the
-  /// degenerate even-modulus case, where modexp falls back to the window).
+  /// Session-lifetime Montgomery context for modulus_ (null when
+  /// FpCtx::supports(modulus_) is false; modexp then takes the window).
   std::shared_ptr<const MontgomeryCtx> mont_;
   /// Fixed-base table for generator_, built by the first pow_gen call
   /// (atomic publish; a racing duplicate build is harmless and dropped).
@@ -139,6 +139,7 @@ class EcGroup final : public Group {
 /// use fp2_serialize.
 class GtGroup final : public Group {
  public:
+  /// Throws std::invalid_argument unless typea_field_supported(params.p).
   explicit GtGroup(TypeAParams params);
 
   const TypeAParams& params() const { return params_; }
@@ -147,15 +148,13 @@ class GtGroup final : public Group {
   Fp2 decode(const Bytes& a) const;
 
   /// The session-lifetime pairing engine backing this group's pairings
-  /// and exponentiations. Null only for the degenerate even-modulus case
-  /// (adversarial deserialization tests), where everything falls back to
-  /// the division-based facade.
-  const PairingEngine* engine() const { return engine_.get(); }
+  /// and exponentiations.
+  const PairingEngine& engine() const { return *engine_; }
 
   /// ê(P, Q) encoded as a GT element.
   Bytes pair(const EcPoint& P, const EcPoint& Q) const;
 
-  /// ê(pre.point(), Q) via a table built by engine()->precompute().
+  /// ê(pre.point(), Q) via a table built by engine().precompute().
   Bytes pair(const PairingPrecomp& pre, const EcPoint& Q) const;
 
   /// ∏ ê(P_i, Q_i)^{±e_i} with a single final exponentiation.

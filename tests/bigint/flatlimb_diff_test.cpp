@@ -1,8 +1,9 @@
 // Differential fuzz harness: the flat-limb kernels and FpCtx layer
 // (bigint/limbs.h) against the Bigint oracle, on adversarial operands —
 // all-ones limbs, carry-chain boundaries, operands at/near the modulus,
-// in-place aliasing. Any divergence is a hard failure: the flat path ships
-// only because it is bit-identical to the reference arithmetic.
+// in-place aliasing. Any divergence is a hard failure: the flat-limb core
+// is the program's only modular arithmetic, and it ships only because it
+// is bit-identical to the reference arithmetic.
 #include "bigint/limbs.h"
 
 #include <gtest/gtest.h>
@@ -237,15 +238,6 @@ TEST(FlatLimbFpCtx, RingOpsAtModulusBoundaries) {
         F.dbl(r, F.pack(x));
         ASSERT_EQ(F.unpack(r), (x + x).mod(m)) << "dbl";
       }
-      // Wide REDC on boundary values up to R² - 1.
-      const Bigint R = Bigint::two_pow(64 * n);
-      const Bigint rinv = modinv(R, m);
-      for (const Bigint& t :
-           {Bigint(0), R - Bigint(1), R, m * R - Bigint(1), R * R - Bigint(1),
-            (R * R - Bigint(1)) >> 3}) {
-        ASSERT_EQ(F.redc_wide(t), modmul(t.mod(m), rinv, m))
-            << "redc_wide t=" << t.to_hex();
-      }
     }
   }
 }
@@ -259,97 +251,31 @@ TEST(FlatLimbFpCtx, RejectsUnsupportedModuli) {
   EXPECT_THROW(FpCtx ctx(Bigint(8)), std::invalid_argument);
 }
 
-// The MontgomeryCtx bridge: a flat-mode context and an oracle-mode context
-// for the same modulus must agree bit for bit on every public operation,
-// including out-of-domain operands that take the fallback paths.
-TEST(FlatLimbMontgomeryBridge, FlatAndOracleContextsAgree) {
-  const bool saved = flat_limbs_enabled();
-  SecureRandom rng(7006);
-  // Widths in 32-bit limbs: even counts are flat-eligible, odd counts and
-  // the beyond-2048-bit modulus must stay on (and agree with) the oracle.
-  for (const std::size_t bits : {std::size_t{96}, std::size_t{128},
-                                 std::size_t{160}, std::size_t{256},
-                                 std::size_t{1024}, std::size_t{3072}}) {
-    Bigint m =
-        Bigint::random_bits(rng, bits - 1) + Bigint::two_pow(bits - 1);
-    if (m.is_even()) m += Bigint(1);
-    set_flat_limbs_enabled(true);
-    const MontgomeryCtx flat_ctx(m);
-    set_flat_limbs_enabled(false);
-    const MontgomeryCtx oracle(m);
-    set_flat_limbs_enabled(saved);
-    const bool expect_flat = bits % 64 == 0 && bits <= 2048;
-    ASSERT_EQ(flat_ctx.flat(), expect_flat) << bits;
-    ASSERT_FALSE(oracle.flat());
-    ASSERT_EQ(flat_ctx.mont_one(), oracle.mont_one());
-
-    std::vector<Bigint> vals{Bigint(0), Bigint(1), m - Bigint(1), m,
-                             m + Bigint(1), Bigint(-5),
-                             Bigint::two_pow(bits) - Bigint(1),
-                             Bigint::random_bits(rng, 2 * bits)};
-    for (const Bigint& x : vals) {
-      ASSERT_EQ(flat_ctx.to_mont(x), oracle.to_mont(x)) << "to_mont";
-      if (!x.is_negative()) {
-        ASSERT_EQ(flat_ctx.from_mont(x), oracle.from_mont(x)) << "from_mont";
-      }
-      for (const Bigint& y : vals) {
-        ASSERT_EQ(flat_ctx.mul(x, y), oracle.mul(x, y))
-            << "mul bits=" << bits;
-      }
-    }
-    for (const Bigint& e :
-         {Bigint(0), Bigint(1), Bigint(2), Bigint::random_bits(rng, bits)}) {
-      const Bigint base = Bigint::random_bits(rng, bits);
-      ASSERT_EQ(flat_ctx.pow(base, e), oracle.pow(base, e)) << "pow";
-    }
-  }
-  set_flat_limbs_enabled(saved);
-}
-
-TEST(FlatLimbSwitch, ContextCacheRebuildsOnModeToggle) {
-  const bool saved = flat_limbs_enabled();
-  SecureRandom rng(7007);
-  Bigint m = Bigint::random_bits(rng, 127) + Bigint::two_pow(127);
-  if (m.is_even()) m += Bigint(1);
-
-  set_flat_limbs_enabled(true);
-  const auto flat_ctx = montgomery_ctx(m);
-  EXPECT_TRUE(flat_ctx->flat());
-  EXPECT_TRUE(montgomery_ctx(m)->flat());  // cache hit, same mode
-
-  set_flat_limbs_enabled(false);
-  const auto oracle = montgomery_ctx(m);  // stale-mode entry must rebuild
-  EXPECT_FALSE(oracle->flat());
-
-  set_flat_limbs_enabled(true);
-  EXPECT_TRUE(montgomery_ctx(m)->flat());
-
-  const Bigint a = Bigint::random_bits(rng, 128).mod(m);
-  const Bigint b = Bigint::random_bits(rng, 128).mod(m);
-  EXPECT_EQ(flat_ctx->mul(a, b), oracle->mul(a, b));
-  set_flat_limbs_enabled(saved);
-}
-
+// The one per-modulus cache (montgomery_ctx) hands every caller the same
+// context, and so the same FpCtx.
 TEST(FlatLimbFpCtxCache, SharedPerModulus) {
   SecureRandom rng(7008);
   Bigint m = Bigint::random_bits(rng, 255) + Bigint::two_pow(255);
   if (m.is_even()) m += Bigint(1);
-  fp_ctx_cache_clear();
-  const auto c1 = fp_ctx(m);
-  const auto c2 = fp_ctx(m);
+  montgomery_cache_clear();
+  const auto c1 = montgomery_ctx(m);
+  const auto c2 = montgomery_ctx(m);
   EXPECT_EQ(c1.get(), c2.get());
-  EXPECT_EQ(fp_ctx_cache_size(), 1u);
-  fp_ctx_cache_clear();
-  EXPECT_EQ(fp_ctx_cache_size(), 0u);
+  EXPECT_EQ(&c1->fp(), &c2->fp());
+  EXPECT_EQ(montgomery_cache_size(), 1u);
+  montgomery_cache_clear();
+  EXPECT_EQ(montgomery_cache_size(), 0u);
   // Outstanding handles survive a clear: 1·1 still evaluates to 1.
+  const FpCtx& F = c1->fp();
   FpElem r;
-  c1->mul(r, c1->one(), c1->one());
-  EXPECT_EQ(c1->from_mont(r), Bigint(1));
+  F.mul(r, F.one(), F.one());
+  EXPECT_EQ(F.from_mont(r), Bigint(1));
 }
 
-// TSan target: the fp_ctx cache (shared_mutex + rebuild-on-clear) and one
-// shared FpCtx hammered from many threads, with results checked against a
-// precomputed oracle so a silent race in the kernels also fails loudly.
+// TSan target: the montgomery_ctx cache (shared_mutex + rebuild-on-clear)
+// and its shared FpCtx contexts hammered from many threads, with results
+// checked against a precomputed oracle so a silent race in the kernels
+// also fails loudly.
 TEST(FlatLimbConcurrency, SharedCtxAndCacheUnderThreads) {
   SecureRandom seed_rng(7009);
   std::vector<Bigint> moduli;
@@ -374,13 +300,15 @@ TEST(FlatLimbConcurrency, SharedCtxAndCacheUnderThreads) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         const std::size_t mi = (t + i) % moduli.size();
-        const auto F = fp_ctx(moduli[mi]);
-        FpElem acc = F->to_mont(x);
+        const auto ctx = montgomery_ctx(moduli[mi]);
+        const FpCtx& F = ctx->fp();
+        FpElem acc = F.to_mont(x);
         const FpElem base = acc;
-        for (int k = 0; k < 4; ++k) F->sqr(acc, acc);  // x^16
-        F->mul(acc, acc, base);                        // x^17
-        if (F->from_mont(acc) != expected[mi]) failures.fetch_add(1);
-        if (i % 16 == 0 && t == 0) fp_ctx_cache_clear();
+        for (int k = 0; k < 4; ++k) F.sqr(acc, acc);  // x^16
+        F.mul(acc, acc, base);                        // x^17
+        if (F.from_mont(acc) != expected[mi]) failures.fetch_add(1);
+        if (ctx->pow(x, Bigint(17)) != expected[mi]) failures.fetch_add(1);
+        if (i % 16 == 0 && t == 0) montgomery_cache_clear();
       }
     });
   }

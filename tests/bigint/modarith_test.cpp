@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "bigint/cunningham.h"
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
 
@@ -131,7 +135,11 @@ TEST(MontgomeryCache, SharesOneContextPerModulus) {
 TEST(MontgomeryCache, RejectsDegenerateModuli) {
   EXPECT_THROW(montgomery_ctx(Bigint(10)), std::invalid_argument);  // even
   EXPECT_THROW(montgomery_ctx(Bigint(1)), std::invalid_argument);
+  EXPECT_THROW(montgomery_ctx(Bigint(0)), std::invalid_argument);
   EXPECT_THROW(montgomery_ctx(Bigint(-7)), std::invalid_argument);
+  // Odd but 2049 bits: wider than FpCtx holds.
+  EXPECT_THROW(montgomery_ctx(Bigint::two_pow(2048) + Bigint(1)),
+               std::invalid_argument);
 }
 
 TEST(MontgomeryCache, CapacityStaysBounded) {
@@ -163,19 +171,22 @@ TEST(FixedBasePow, MatchesGeneralModexp) {
 }
 
 TEST(Montgomery, ReduceHandlesMaximalInput) {
-  // from_mont accepts any 2n-limb value; the all-ones maximum drives the
-  // carry ripple in reduce() to its furthest column for every size.
-  // Cross-check against the direct t·R^{-1} mod m computation.
+  // from_mont is a REDC of any in-width residue; the all-ones maximum
+  // 2^(64n) - 1 (above the modulus) drives the carry ripple to its
+  // furthest column. Cross-check against the direct t·R^{-1} mod m with
+  // R = 2^(64n), including odd 32-bit limb counts (96 bits).
   SecureRandom rng(107);
-  for (const int bits : {96, 128, 256, 512, 1024}) {
+  for (const int bits : {96, 128, 256, 512, 1024, 2048}) {
     Bigint m = Bigint::random_bits(rng, static_cast<std::size_t>(bits));
     if (m.is_even()) m += Bigint(1);
     const MontgomeryCtx ctx(m);
-    const std::size_t n = m.raw_limbs().size();
-    // t = 2^(64n) - 1: 2n limbs of 0xFFFFFFFF.
-    const Bigint t = Bigint::two_pow(64 * n) - Bigint(1);
-    const Bigint r_inv = modinv(Bigint::two_pow(32 * n), m);
-    EXPECT_EQ(ctx.from_mont(t), (t * r_inv).mod(m)) << bits;
+    const FpCtx& F = ctx.fp();
+    const std::size_t n = F.limbs();
+    FpElem t;
+    for (std::size_t i = 0; i < n; ++i) t.v[i] = ~limb::Limb{0};
+    const Bigint t_big = Bigint::two_pow(64 * n) - Bigint(1);
+    const Bigint r_inv = modinv(Bigint::two_pow(64 * n), m);
+    EXPECT_EQ(F.from_mont(t), (t_big * r_inv).mod(m)) << bits;
   }
 }
 
@@ -184,61 +195,47 @@ TEST(Montgomery, ReduceMatchesPlainProductAtWordBoundaries) {
   // in-domain ceiling — the regime where a missed final subtraction or a
   // carry overrun would first show.
   SecureRandom rng(108);
-  for (const int bits : {128, 512, 2048}) {
+  for (const int bits : {96, 128, 512, 2048}) {
     Bigint m = Bigint::random_bits(rng, static_cast<std::size_t>(bits));
     if (m.is_even()) m += Bigint(1);
     const MontgomeryCtx ctx(m);
+    const FpCtx& F = ctx.fp();
     const Bigint a = m - Bigint(1);
     const Bigint b = m - Bigint(2);
-    const Bigint got = ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b)));
-    EXPECT_EQ(got, (a * b).mod(m)) << bits;
+    FpElem r;
+    F.mul(r, F.to_mont(a), F.to_mont(b));
+    EXPECT_EQ(F.from_mont(r), (a * b).mod(m)) << bits;
   }
 }
 
 TEST(Montgomery, MulHandlesOutOfDomainOperands) {
-  // mul's fused CIOS assumes operands below the modulus; wider or larger
-  // values must still reduce correctly via the fallback path, and tiny
-  // operands (fewer limbs than the modulus) via zero-padding.
+  // to_mont accepts any integer — at or above the modulus, negative, wider
+  // than it, or a single limb — and reduces it on entry, so products of
+  // entered operands match the schoolbook product of the reduced values.
   SecureRandom rng(109);
   Bigint m = Bigint::random_bits(rng, 160);
   if (m.is_even()) m += Bigint(1);
   const MontgomeryCtx ctx(m);
-  const std::size_t n = m.raw_limbs().size();
-  const Bigint r_inv = modinv(Bigint::two_pow(32 * n), m);
-  const auto redc = [&](const Bigint& a, const Bigint& b) {
-    return (a * b * r_inv).mod(m);
-  };
-  // Same limb count but >= m; zero; single limb.
-  const Bigint big_same_width = m + Bigint(12345);
-  for (const Bigint& a : {big_same_width, Bigint(0), Bigint(7)}) {
-    for (const Bigint& b : {big_same_width, Bigint(0), Bigint(7)}) {
-      EXPECT_EQ(ctx.mul(a, b), redc(a, b));
+  const FpCtx& F = ctx.fp();
+  const std::vector<Bigint> vals{m + Bigint(12345), m, Bigint(0), Bigint(7),
+                                 Bigint(-5), Bigint::random_bits(rng, 320)};
+  for (const Bigint& a : vals) {
+    for (const Bigint& b : vals) {
+      FpElem r;
+      F.mul(r, F.to_mont(a), F.to_mont(b));
+      EXPECT_EQ(F.from_mont(r), (a * b).mod(m));
     }
   }
-  // An operand wider than the modulus takes the unfused fallback; keep
-  // the product inside reduce()'s 2n-limb domain.
-  const Bigint wider = Bigint::random_bits(rng, 320);
-  EXPECT_EQ(ctx.mul(wider, Bigint(7)), redc(wider, Bigint(7)));
-  EXPECT_EQ(ctx.mul(Bigint(7), wider), redc(Bigint(7), wider));
-}
-
-TEST(Montgomery, MulHandlesModulusBeyondStackBuffer) {
-  // Moduli wider than the fused path's stack scratch take the heap
-  // scratch; exercise one well past that boundary (66 limbs = 2112 bits).
-  SecureRandom rng(110);
-  Bigint m = Bigint::random_bits(rng, 3072);
-  if (m.is_even()) m += Bigint(1);
-  const MontgomeryCtx ctx(m);
-  const Bigint a = Bigint::random_below(rng, m);
-  const Bigint b = Bigint::random_below(rng, m);
-  EXPECT_EQ(ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b))),
-            (a * b).mod(m));
 }
 
 TEST(Montgomery, RejectsBadModulus) {
   EXPECT_THROW(MontgomeryCtx(Bigint(10)), std::invalid_argument);  // even
   EXPECT_THROW(MontgomeryCtx(Bigint(1)), std::invalid_argument);
+  EXPECT_THROW(MontgomeryCtx(Bigint(0)), std::invalid_argument);
   EXPECT_THROW(MontgomeryCtx(Bigint(-7)), std::invalid_argument);
+  // Wider than FpCtx holds: odd, 2049 bits.
+  EXPECT_THROW(MontgomeryCtx(Bigint::two_pow(2048) + Bigint(1)),
+               std::invalid_argument);
 }
 
 TEST(Montgomery, ToFromRoundTrip) {
@@ -246,9 +243,10 @@ TEST(Montgomery, ToFromRoundTrip) {
   Bigint m = Bigint::random_bits(rng, 512);
   if (m.is_even()) m += Bigint(1);
   const MontgomeryCtx ctx(m);
+  const FpCtx& F = ctx.fp();
   for (int i = 0; i < 20; ++i) {
     const Bigint x = Bigint::random_below(rng, m);
-    EXPECT_EQ(ctx.from_mont(ctx.to_mont(x)), x);
+    EXPECT_EQ(F.from_mont(F.to_mont(x)), x);
   }
 }
 
@@ -257,12 +255,13 @@ TEST(Montgomery, MulMatchesPlainModmul) {
   Bigint m = Bigint::random_bits(rng, 384);
   if (m.is_even()) m += Bigint(1);
   const MontgomeryCtx ctx(m);
+  const FpCtx& F = ctx.fp();
   for (int i = 0; i < 20; ++i) {
     const Bigint a = Bigint::random_below(rng, m);
     const Bigint b = Bigint::random_below(rng, m);
-    const Bigint got =
-        ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b)));
-    EXPECT_EQ(got, (a * b).mod(m));
+    FpElem r;
+    F.mul(r, F.to_mont(a), F.to_mont(b));
+    EXPECT_EQ(F.from_mont(r), (a * b).mod(m));
   }
 }
 
@@ -375,6 +374,78 @@ TEST(Montgomery, RsaStyleRoundTrip) {
   const Bigint msg(65);
   const Bigint c = modexp(msg, e, n);
   EXPECT_EQ(modexp(c, d, n), msg);
+}
+
+// Moduli with an odd number of 32-bit limbs once ran a separate 32-bit
+// Montgomery kernel; they now share FpCtx (R = 2^(64·⌈n/2⌉)) with every
+// other width. The paper preset (L = 12 over the table chain) puts its
+// upper tower levels here: 65–70-bit primes, three 32-bit limbs.
+std::vector<Bigint> kernel_width_moduli(SecureRandom& rng) {
+  std::vector<Bigint> out;
+  for (const Bigint& p : table_chain(14, rng).primes) {
+    if (p.bit_length() >= 65 && p.bit_length() <= 70) out.push_back(p);
+  }
+  for (const std::size_t bits : {96, 160, 1056, 2016, 2047, 2048}) {
+    Bigint m = Bigint::random_bits(rng, bits - 1) + Bigint::two_pow(bits - 1);
+    if (m.is_even()) m += Bigint(1);
+    out.push_back(m);
+  }
+  out.push_back(Bigint::two_pow(2048) - Bigint(1));  // all-ones boundary
+  return out;
+}
+
+TEST(MontgomeryDiff, KernelWidthModuliMatchSchoolbook) {
+  SecureRandom rng(120);
+  const std::vector<Bigint> moduli = kernel_width_moduli(rng);
+  std::size_t tower_levels = 0;
+  for (const Bigint& m : moduli) {
+    if (m.bit_length() <= 70) ++tower_levels;
+  }
+  ASSERT_EQ(tower_levels, 6u);  // tower[7..12] of the paper preset
+  for (const Bigint& m : moduli) {
+    const std::size_t bits = m.bit_length();
+    const auto ctx = montgomery_ctx(m);
+    // Exponents: the trivial ones, a short one below the facade's
+    // Montgomery threshold, and one as wide as the modulus (capped so the
+    // schoolbook oracle stays quick at 2048 bits).
+    const std::size_t wide = std::min<std::size_t>(bits, 384);
+    const std::vector<Bigint> exps{Bigint(0), Bigint(1), Bigint(65537),
+                                   Bigint::random_bits(rng, 12),
+                                   Bigint::random_bits(rng, wide)};
+    const std::vector<Bigint> bases{Bigint::random_below(rng, m), m - Bigint(1),
+                                    Bigint::random_bits(rng, bits + 40),
+                                    Bigint(-3)};
+    for (const Bigint& base : bases) {
+      const FixedBasePow table(ctx, base, wide);
+      for (const Bigint& e : exps) {
+        const Bigint want = modexp_binary(base, e, m);
+        EXPECT_EQ(ctx->pow(base, e), want) << bits << "-bit pow";
+        EXPECT_EQ(modexp(base, e, m), want) << bits << "-bit facade";
+        EXPECT_EQ(modexp(base, e, *ctx), want) << bits << "-bit explicit";
+        EXPECT_EQ(table.pow(e), want) << bits << "-bit fixed base";
+      }
+      // Beyond the table width FixedBasePow falls back to the ladder.
+      const Bigint past = Bigint::random_bits(rng, wide + 8);
+      EXPECT_EQ(table.pow(past), modexp_binary(base, past, m)) << bits;
+    }
+  }
+}
+
+TEST(MontgomeryDiff, ModexpAboveFpCtxWidthMatchesSchoolbook) {
+  // No Montgomery context exists past 2048 bits: the facade takes the
+  // windowed ladder, stays exact, and leaves the context cache alone.
+  SecureRandom rng(121);
+  for (const std::size_t bits : {2049, 3072}) {
+    Bigint m = Bigint::random_bits(rng, bits - 1) + Bigint::two_pow(bits - 1);
+    if (m.is_even()) m += Bigint(1);
+    const std::size_t cached = montgomery_cache_size();
+    const Bigint base = Bigint::random_below(rng, m);
+    const Bigint e = Bigint::random_bits(rng, 96);
+    EXPECT_EQ(modexp(base, e, m), modexp_binary(base, e, m)) << bits;
+    EXPECT_EQ(montgomery_cache_size(), cached) << bits;
+    EXPECT_THROW(montgomery_ctx(m), std::invalid_argument) << bits;
+    EXPECT_THROW(modexp_montgomery(base, e, m), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/modarith.h"
+
 namespace ppms {
 namespace {
 
@@ -88,6 +90,50 @@ TEST(PrimeTest, MillerRabinRoundWitnessDetectsComposite) {
   EXPECT_FALSE(miller_rabin_round(Bigint(221), Bigint(2)));
   // ...but 174 is a strong liar for 221.
   EXPECT_TRUE(miller_rabin_round(Bigint(221), Bigint(174)));
+}
+
+TEST(PrimeTest, MillerRabinRoundRejectsOutOfDomainModulus) {
+  // For n = 1, decomposing n - 1 = 0 into d·2^s would never terminate.
+  EXPECT_THROW(miller_rabin_round(Bigint(1), Bigint(2)),
+               std::invalid_argument);
+  EXPECT_THROW(miller_rabin_round(Bigint(0), Bigint(2)),
+               std::invalid_argument);
+  EXPECT_THROW(miller_rabin_round(Bigint(1000), Bigint(3)),
+               std::invalid_argument);
+  EXPECT_TRUE(miller_rabin_round(Bigint(3), Bigint(2)));
+}
+
+TEST(PrimeTest, CandidateTestingLeavesContextCacheAlone) {
+  // Miller-Rabin candidates are throwaway moduli: testing them must not
+  // touch the shared per-modulus context cache, or prime generation (RSA
+  // keygen per pseudonym) would keep evicting the live session contexts.
+  SecureRandom rng(30);
+  const Bigint p = random_prime(rng, 512);
+  const auto hot = montgomery_ctx(p);
+  const std::size_t cached = montgomery_cache_size();
+  int tested = 0;
+  while (tested < 120) {
+    Bigint c = Bigint::random_bits(rng, 511) + Bigint::two_pow(511);
+    if (c.is_even()) c += Bigint(1);
+    if (has_small_factor(c)) continue;  // only count candidates MR sees
+    (void)is_probable_prime(c, rng);
+    ++tested;
+  }
+  EXPECT_EQ(montgomery_ctx(p).get(), hot.get());
+  EXPECT_EQ(montgomery_cache_size(), cached);
+}
+
+TEST(PrimeTest, CandidatesWiderThanFpCtxStillTested) {
+  // Past 2048 bits there is no Montgomery context; the witness loop runs
+  // on schoolbook Bigint instead. 2^2203 - 1 is a Mersenne prime.
+  SecureRandom rng(31);
+  const Bigint m2203 = Bigint::two_pow(2203) - Bigint(1);
+  EXPECT_TRUE(is_probable_prime(m2203, rng, 2));
+  EXPECT_TRUE(miller_rabin_round(m2203, Bigint(3)));
+  // 2^2204 + 1 = (2^4)^551 + 1 is divisible by 17, and 2 witnesses it:
+  // the order of 2 is 4408, so no 2^(2^i) along the chain is ±1.
+  EXPECT_FALSE(miller_rabin_round(Bigint::two_pow(2204) + Bigint(1),
+                                  Bigint(2)));
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "bigint/bigint.h"
 #include "bigint/limbs.h"
+#include "bigint/modarith.h"
 #include "bigint/montgomery.h"
 #include "bigint/simd_detail.h"
 #include "pairing/pipeline.h"
@@ -307,7 +308,8 @@ TEST(SimdDiff, FpCtxBatchesMatchSequentialMul) {
     Bigint m =
         Bigint::random_bits(rng, bits - 1) + Bigint::two_pow(bits - 1);
     if (m.is_even()) m = m - Bigint(1);
-    const auto F = fp_ctx(m);
+    const auto ctx = montgomery_ctx(m);
+    const FpCtx* F = &ctx->fp();
     constexpr std::size_t k = 37;  // ragged vs every lane width
     std::vector<FpElem> a(k), b(k), got(k), want(k);
     for (std::size_t i = 0; i < k; ++i) {

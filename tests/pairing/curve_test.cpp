@@ -132,6 +132,19 @@ TEST(TypeAParamsTest, DeserializeChecksCofactorRelation) {
                std::invalid_argument);
 }
 
+TEST(TypeAParamsTest, DeserializeRejectsUnservableFieldPrime) {
+  // Even p, p ≡ 1 (mod 4) and p wider than 2048 bits are refused at load:
+  // no pairing engine could serve them.
+  for (const Bigint& p : {params().p + Bigint(1), params().p + Bigint(2),
+                          Bigint::two_pow(2049) - Bigint(1)}) {
+    TypeAParams bad = params();
+    bad.p = p;
+    EXPECT_THROW(TypeAParams::deserialize(bad.serialize()),
+                 std::invalid_argument)
+        << p.bit_length() << "-bit p";
+  }
+}
+
 TEST(TypeAParamsTest, GenerateForOrderValidatesInput) {
   SecureRandom rng(12);
   EXPECT_THROW(typea_generate_for_order(rng, Bigint(4), 64),

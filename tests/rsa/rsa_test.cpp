@@ -48,6 +48,8 @@ TEST(RsaKeygen, RejectsBadParameters) {
   SecureRandom rng(2);
   EXPECT_THROW(rsa_generate(rng, 30), std::invalid_argument);
   EXPECT_THROW(rsa_generate(rng, 129), std::invalid_argument);
+  // Wider than the 2048 bits a Montgomery context holds.
+  EXPECT_THROW(rsa_generate(rng, 2050), std::invalid_argument);
   EXPECT_THROW(rsa_generate(rng, 512, Bigint(4)), std::invalid_argument);
   EXPECT_THROW(rsa_generate(rng, 512, Bigint(1)), std::invalid_argument);
 }
@@ -152,6 +154,42 @@ TEST(RsaFdh, CoversHighBits) {
     above = rsa_fdh(pub, Bytes{static_cast<std::uint8_t>(i)}) > half;
   }
   EXPECT_TRUE(above);
+}
+
+// A structurally valid key whose modulus is 2050 bits wide: built by hand,
+// since rsa_generate refuses the width.
+const RsaPrivateKey& wide_key() {
+  static const RsaPrivateKey key = [] {
+    SecureRandom rng(13);
+    for (;;) {
+      RsaPrivateKey k;
+      k.p = random_prime(rng, 1025);
+      k.q = random_prime(rng, 1025);
+      k.n = k.p * k.q;
+      k.e = Bigint(65537);
+      const Bigint p1 = k.p - Bigint(1);
+      const Bigint q1 = k.q - Bigint(1);
+      const Bigint lambda = lcm(p1, q1);
+      if (k.p == k.q || !gcd(k.e, lambda).is_one()) continue;
+      k.d = modinv(k.e, lambda);
+      k.dp = k.d.mod(p1);
+      k.dq = k.d.mod(q1);
+      k.qinv = modinv(k.q, k.p);
+      return k;
+    }
+  }();
+  return key;
+}
+
+TEST(RsaPublicKeySerde, ModulusWiderThan2048BitsRejected) {
+  ASSERT_GT(wide_key().n.bit_length(), 2048u);
+  EXPECT_THROW(RsaPublicKey::deserialize(wide_key().public_key().serialize()),
+               std::invalid_argument);
+}
+
+TEST(RsaPrivateKeySerde, ModulusWiderThan2048BitsRejected) {
+  EXPECT_THROW(RsaPrivateKey::deserialize(wide_key().serialize()),
+               std::invalid_argument);
 }
 
 }  // namespace

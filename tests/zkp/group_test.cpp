@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "bigint/cunningham.h"
+#include "bigint/modarith.h"
 #include "bigint/prime.h"
 
 namespace ppms {
@@ -124,6 +128,16 @@ TEST(GtGroupTest, RejectsNonMembers) {
   }
 }
 
+TEST(GtGroupTest, ConstructorRejectsUnservableFieldPrime) {
+  for (const Bigint& p : {params().p + Bigint(1), params().p + Bigint(2),
+                          Bigint::two_pow(2049) - Bigint(1)}) {
+    TypeAParams bad = params();
+    bad.p = p;
+    EXPECT_THROW(GtGroup{bad}, std::invalid_argument)
+        << p.bit_length() << "-bit p";
+  }
+}
+
 // Shamir double exponentiation must agree with the two-pows-and-an-op
 // definition in every group, including degenerate exponents.
 void check_pow2(const Group& g, const Bytes& b1, const Bytes& b2,
@@ -190,6 +204,46 @@ TEST(GroupDescribeTest, DistinctGroupsDistinctDescriptions) {
   const GtGroup gt(params());
   EXPECT_NE(zn().describe(), ec.describe());
   EXPECT_NE(ec.describe(), gt.describe());
+}
+
+// ZnGroup's exponentiation surfaces against schoolbook modexp_binary on
+// moduli with an odd number of 32-bit limbs, which once ran a separate
+// 32-bit kernel, and at the 2048-bit boundary. The tower groups are the
+// paper preset's upper levels (L = 12 over the table chain: 65–70-bit
+// moduli); the wider groups are Z*_p of a random prime p with order p - 1,
+// so every base has an order dividing it.
+TEST(ZnGroupTest, ExponentiationsMatchSchoolbookAcrossKernelWidths) {
+  SecureRandom rng(14);
+  std::vector<ZnGroup> groups;
+  const CunninghamChain chain = table_chain(14, rng);
+  for (std::size_t i = 1; i < chain.primes.size(); ++i) {
+    const std::size_t bits = chain.primes[i].bit_length();
+    if (bits >= 65 && bits <= 70) {
+      groups.push_back(ZnGroup::quadratic_residues(chain.primes[i], rng));
+    }
+  }
+  ASSERT_EQ(groups.size(), 6u);
+  for (const std::size_t bits : {96, 160, 1056, 2016, 2048}) {
+    const Bigint p = random_prime(rng, bits, 4);
+    groups.emplace_back(p, p - Bigint(1), Bigint(3));
+  }
+  for (const ZnGroup& g : groups) {
+    const Bigint& m = g.modulus();
+    const Bigint a = Bigint::random_range(rng, Bigint(2), m);
+    const Bigint b = Bigint::random_range(rng, Bigint(2), m);
+    for (int i = 0; i < 3; ++i) {
+      const Bigint e1 = Bigint::random_below(rng, g.order());
+      const Bigint e2 = Bigint::random_below(rng, g.order());
+      const Bigint want_a = modexp_binary(a, e1, m);
+      EXPECT_EQ(g.pow(g.encode(a), e1), g.encode(want_a)) << m.bit_length();
+      EXPECT_EQ(g.pow2(g.encode(a), e1, g.encode(b), e2),
+                g.encode((want_a * modexp_binary(b, e2, m)).mod(m)))
+          << m.bit_length();
+      EXPECT_EQ(g.pow_gen(e1),
+                g.encode(modexp_binary(g.generator_value(), e1, m)))
+          << m.bit_length();
+    }
+  }
 }
 
 }  // namespace
