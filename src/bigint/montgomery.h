@@ -61,10 +61,14 @@ class FixedBasePow {
  private:
   std::shared_ptr<const MontgomeryCtx> ctx_;
   Bigint base_;
-  // table_[i][d-1] = base^(d · 16^i) in Montgomery form, d in 1..15.
-  // pow() gathers the selected digit entries and folds them as a balanced
-  // tree through the lane-batched FpCtx::mul_batch.
-  std::vector<std::vector<FpElem>> table_;
+  std::size_t digits_ = 0;
+  // base^(d · 16^i) in Montgomery form for d in 1..15, entry (i, d) at
+  // limb offset (15·i + d - 1)·limbs(): one contiguous array at the
+  // context's own width, not kMaxFpLimbs-wide FpElems (a 2-limb tower
+  // modulus would pay 16x). pow() gathers the selected digit entries and
+  // folds them as a balanced tree through the lane-batched
+  // FpCtx::mul_batch_raw.
+  std::vector<limb::Limb> table_;
 };
 
 }  // namespace ppms

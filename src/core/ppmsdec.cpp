@@ -461,6 +461,10 @@ void PpmsDecMarket::confirm_and_release_data(ParticipantSession& sp,
           throw MarketError(MarketErrc::kProtocolOrder,
                             "confirm_and_release_data: no report on file");
         }
+        // The SP holds its payment once it confirms: drop the filed
+        // ciphertext (a redelivered deliver_payment envelope still replays
+        // its cached reply; a fresh one finds nothing on file).
+        pending_payments_.erase(key);
         return it->second;
       }));
 }

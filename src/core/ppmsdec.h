@@ -153,7 +153,9 @@ class PpmsDecMarket {
   /// pseudonym and verifies every coin, discarding fakes.
   PaymentCheck open_payment(ParticipantSession& sp);
 
-  /// Step 8b: SP confirms; the MA releases the data report to the JO.
+  /// Step 8b: SP confirms; the MA releases the data report to the JO and
+  /// drops the filed payment, so a later deliver_payment throws
+  /// kProtocolOrder.
   void confirm_and_release_data(ParticipantSession& sp,
                                 JobOwnerSession& jo);
 

@@ -365,6 +365,9 @@ Bytes PpmsPbsMarket::confirm_and_release_data(PbsParticipantSession& sp) {
           throw MarketError(MarketErrc::kProtocolOrder,
                             "confirm_and_release_data: no report on file");
         }
+        // The SP holds its coin once it confirms: drop the filed blind
+        // signature (a redelivered envelope still replays its cached reply).
+        pending_coins_.erase(key);
         return it->second;
       });
 }

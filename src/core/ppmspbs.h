@@ -112,7 +112,8 @@ class PpmsPbsMarket {
   /// false if the unblinded coin fails verification.
   bool deliver_and_open_payment(PbsParticipantSession& sp);
 
-  /// Release the report to the JO after the SP's confirmation.
+  /// Release the report to the JO after the SP's confirmation. The MA
+  /// drops the filed coin then: a later delivery throws kProtocolOrder.
   Bytes confirm_and_release_data(PbsParticipantSession& sp);
 
   /// Money deposit (eq. 26): reveal (sig, rpk_SP, rpk_JO, s) after a

@@ -1,6 +1,14 @@
 #include "pairing/curve.h"
 
+#include <algorithm>
+#include <initializer_list>
+#include <memory>
 #include <stdexcept>
+#include <string>
+
+#include "bigint/modarith.h"
+#include "bigint/montgomery.h"
+#include "pairing/jacobian.h"
 
 namespace ppms {
 
@@ -42,16 +50,87 @@ EcPoint ec_add(const EcPoint& a, const EcPoint& b, const Bigint& p) {
   return EcPoint{x3, y3, false};
 }
 
+namespace {
+
+// The field context every ladder over p runs on, after validating the
+// points the Jacobian formulas would otherwise silently misread.
+// montgomery_ctx throws std::invalid_argument for a p FpCtx cannot serve.
+std::shared_ptr<const MontgomeryCtx> ladder_ctx(
+    const char* who, const Bigint& p,
+    std::initializer_list<const EcPoint*> points) {
+  for (const EcPoint* pt : points) {
+    if (!ec_on_curve(*pt, p)) {
+      throw std::invalid_argument(std::string(who) + ": point not on curve");
+    }
+  }
+  return montgomery_ctx(p);
+}
+
+// k1·A + k2·B with one shared doubling chain. A + B is precomputed in
+// Jacobian coordinates (no inversion) and added with the full Jacobian
+// formula; single-base bits use mixed addition. An infinite base or a
+// zero scalar drops its term.
+Jac shamir_ladder(const FpCtx& F, const EcPoint& a, const Bigint& k1,
+                  const EcPoint& b, const Bigint& k2) {
+  const bool use_a = !a.infinity && !k1.is_zero();
+  const bool use_b = !b.infinity && !k2.is_zero();
+  const FpElem ax = use_a ? F.to_mont(a.x) : F.zero();
+  const FpElem ay = use_a ? F.to_mont(a.y) : F.zero();
+  const FpElem bx = use_b ? F.to_mont(b.x) : F.zero();
+  const FpElem by = use_b ? F.to_mont(b.y) : F.zero();
+  Jac ab = jac_infinity(F);
+  if (use_a && use_b) {
+    ab = Jac{ax, ay, F.one()};
+    jac_add(F, ab, bx, by);
+  }
+  const bool ab_finite = !F.is_zero(ab.Z);  // false for B = -A
+  Jac V = jac_infinity(F);
+  for (std::size_t i = std::max(k1.bit_length(), k2.bit_length()); i-- > 0;) {
+    jac_dbl(F, V);
+    const bool ba = use_a && k1.bit(i);
+    const bool bb = use_b && k2.bit(i);
+    if (ba && bb) {
+      if (ab_finite) jac_add(F, V, ab.X, ab.Y, &ab.Z);
+    } else if (ba) {
+      jac_add(F, V, ax, ay);
+    } else if (bb) {
+      jac_add(F, V, bx, by);
+    }
+  }
+  return V;
+}
+
+}  // namespace
+
+EcPoint jac_to_affine(const FpCtx& F, const Jac& V) {
+  if (F.is_zero(V.Z)) return EcPoint::at_infinity();
+  const FpElem zi = F.to_mont(fp_inv(F.from_mont(V.Z), F.modulus()));
+  FpElem zi2, zi3, x, y;
+  F.sqr(zi2, zi);
+  F.mul(zi3, zi2, zi);
+  F.mul(x, V.X, zi2);
+  F.mul(y, V.Y, zi3);
+  return EcPoint{F.from_mont(x), F.from_mont(y), false};
+}
+
 EcPoint ec_mul(const EcPoint& a, const Bigint& k, const Bigint& p) {
   if (k.is_negative()) {
     throw std::invalid_argument("ec_mul: negative scalar");
   }
-  EcPoint result = EcPoint::at_infinity();
-  for (std::size_t i = k.bit_length(); i-- > 0;) {
-    result = ec_add(result, result, p);
-    if (k.bit(i)) result = ec_add(result, a, p);
+  const auto ctx = ladder_ctx("ec_mul", p, {&a});
+  const FpCtx& F = ctx->fp();
+  return jac_to_affine(
+      F, shamir_ladder(F, a, k, EcPoint::at_infinity(), Bigint(0)));
+}
+
+EcPoint ec_mul2(const EcPoint& a, const Bigint& k1, const EcPoint& b,
+                const Bigint& k2, const Bigint& p) {
+  if (k1.is_negative() || k2.is_negative()) {
+    throw std::invalid_argument("ec_mul2: negative scalar");
   }
-  return result;
+  const auto ctx = ladder_ctx("ec_mul2", p, {&a, &b});
+  const FpCtx& F = ctx->fp();
+  return jac_to_affine(F, shamir_ladder(F, a, k1, b, k2));
 }
 
 EcPoint ec_random_point(SecureRandom& rng, const Bigint& p) {

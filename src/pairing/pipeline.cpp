@@ -11,6 +11,7 @@
 #include "bigint/simd.h"
 #include "obs/metrics.h"
 #include "pairing/fp.h"
+#include "pairing/jacobian.h"
 
 namespace ppms {
 
@@ -31,22 +32,12 @@ PairingCounters& counters() {
   return c;
 }
 
-// The Jacobian doubling/addition steps below mirror the affine oracle
-// (pairing/tate.cpp) up to a line factor in F_p* that the final
-// exponentiation kills, with every product a Montgomery product on flat
-// limbs. Lines come back as coefficients, so they can be recorded in a
-// PairingPrecomp table or evaluated against any Q. Degenerate events
-// return the unit line.
-
-struct Jac {
-  FpElem X, Y, Z;
-};
-
-struct Line {
-  FpElem c0, c1, c2;
-};
-
-Line unit_line(const FpCtx& F) { return {F.one(), F.zero(), F.zero()}; }
+// Miller-loop steps on the shared Jacobian formulas (pairing/jacobian.h).
+// They mirror the affine oracle (pairing/tate.cpp) up to a line factor in
+// F_p* that the final exponentiation kills, with every product a
+// Montgomery product on flat limbs. Lines come back as coefficients, so
+// they can be recorded in a PairingPrecomp table or evaluated against any
+// Q. Degenerate events return the unit line.
 
 FpElem load(const std::uint64_t* src, std::size_t n) {
   FpElem e;
@@ -65,85 +56,14 @@ Fp2Elem eval_line(const FpCtx& F, const Line& line, const FpElem& xq,
 }
 
 Line dbl_step(const FpCtx& F, Jac& V) {
-  if (F.is_zero(V.Z)) return unit_line(F);
-  if (F.is_zero(V.Y)) {  // order-2 point: vertical tangent
-    V = Jac{F.one(), F.one(), F.zero()};
-    return unit_line(F);
-  }
-  FpElem T, A, B, C, xb, D, E, X3, c8, Y3, Z3, t;
-  F.sqr(T, V.Z);
-  F.sqr(A, V.X);
-  F.sqr(B, V.Y);
-  F.sqr(C, B);
-  F.add(xb, V.X, B);
-  F.sqr(t, xb);
-  F.sub(D, t, A);
-  F.sub(D, D, C);
-  F.dbl(D, D);
-  F.add(E, A, A);
-  F.add(E, E, A);
-  F.sqr(t, T);
-  F.add(E, E, t);
-  F.sqr(X3, E);
-  F.add(t, D, D);
-  F.sub(X3, X3, t);
-  F.add(c8, C, C);
-  F.dbl(c8, c8);
-  F.dbl(c8, c8);
-  F.sub(t, D, X3);
-  F.mul(Y3, E, t);
-  F.sub(Y3, Y3, c8);
-  F.mul(t, V.Y, V.Z);
-  F.add(Z3, t, t);
   Line line;
-  F.mul(t, E, V.X);
-  FpElem b2;
-  F.add(b2, B, B);
-  F.sub(line.c0, t, b2);
-  F.mul(line.c1, E, T);
-  F.mul(line.c2, Z3, T);
-  V = Jac{X3, Y3, Z3};
+  jac_dbl(F, V, &line);
   return line;
 }
 
 Line add_step(const FpCtx& F, Jac& V, const FpElem& px, const FpElem& py) {
-  if (F.is_zero(V.Z)) {
-    V = Jac{px, py, F.one()};
-    return unit_line(F);
-  }
-  FpElem T, U2, S2, H, R, t, t2;
-  F.sqr(T, V.Z);
-  F.mul(U2, px, T);
-  F.mul(t, T, V.Z);
-  F.mul(S2, py, t);
-  F.sub(H, U2, V.X);
-  F.sub(R, S2, V.Y);
-  if (F.is_zero(H)) {
-    if (F.is_zero(R)) return dbl_step(F, V);  // V == P: tangent
-    // V == -P: vertical line, sum is the point at infinity.
-    V = Jac{F.one(), F.one(), F.zero()};
-    return unit_line(F);
-  }
-  FpElem H2, H3, XH2, X3, Y3, Z3;
-  F.sqr(H2, H);
-  F.mul(H3, H, H2);
-  F.mul(XH2, V.X, H2);
-  F.sqr(X3, R);
-  F.sub(X3, X3, H3);
-  F.add(t, XH2, XH2);
-  F.sub(X3, X3, t);
-  F.sub(t, XH2, X3);
-  F.mul(Y3, R, t);
-  F.mul(t2, V.Y, H3);
-  F.sub(Y3, Y3, t2);
-  F.mul(Z3, V.Z, H);
   Line line;
-  F.mul(t, R, px);
-  F.mul(t2, py, Z3);
-  F.sub(line.c0, t, t2);
-  line.c1 = R;
-  line.c2 = Z3;
-  V = Jac{X3, Y3, Z3};
+  jac_add(F, V, px, py, nullptr, &line);
   return line;
 }
 

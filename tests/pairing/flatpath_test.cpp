@@ -1,7 +1,8 @@
 // Flat-limb pairing engine vs the affine Bigint oracle: live pairings,
 // precomp replays, products and GT powers must be bit-identical to
 // tate_pairing_affine composed with the plain F_p² helpers, and a shared
-// engine must stay exact under concurrent use (the TSan angle).
+// engine, like the scalar ladders sharing one field context, must stay
+// exact under concurrent use (the TSan angle).
 #include "pairing/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -10,9 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "bigint/modarith.h"
+#include "clsig/clsig.h"
 #include "pairing/fp.h"
 #include "pairing/fp2.h"
 #include "pairing/tate.h"
+#include "support/ec_oracle.h"
 
 namespace ppms {
 namespace {
@@ -136,6 +140,53 @@ TEST(FlatPairingConcurrency, SharedFlatEngineUnderThreads) {
       for (int i = 0; i < kIters; ++i) {
         if (engine().pair(pre, Q) != expect) failures.fetch_add(1);
         if (engine().pair(P, Q) != expect) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// TSan target: scalar ladders on one shared parameter set from many
+// threads, the shape of a deposit-pool mint. ec_mul and cl_randomize all
+// take the montgomery_ctx(p) entry, and one thread keeps clearing the
+// cache so lookups race its rebuild. Every output is checked against a
+// value computed single-threaded up front (the affine oracle for ec_mul).
+TEST(FlatPairingConcurrency, SharedFieldScalarLaddersUnderThreads) {
+  SecureRandom rng(9108);
+  const TypeAParams& prm = params();
+  const ClKeyPair kp = cl_keygen(prm, rng);
+  const ClSignature sig = cl_sign(prm, kp.sk, Bigint(12345), rng);
+  constexpr int kThreads = 8;
+  constexpr int kIters = 4;
+  constexpr std::uint64_t kSeed = 9200;
+  std::vector<Bigint> ks;
+  std::vector<EcPoint> want_mul;
+  std::vector<ClSignature> want_sig;
+  for (int i = 0; i < kThreads * kIters; ++i) {
+    ks.push_back(Bigint::random_below(rng, prm.r));
+    want_mul.push_back(testing::ec_mul_affine(prm.g, ks.back(), prm.p));
+    SecureRandom sig_rng(kSeed + i);
+    want_sig.push_back(cl_randomize(prm, sig, sig_rng));
+  }
+  ASSERT_TRUE(cl_verify(prm, kp.pk, Bigint(12345), want_sig[0]));
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        const int idx = t * kIters + i;
+        if (ec_mul(prm.g, ks[idx], prm.p) != want_mul[idx]) {
+          failures.fetch_add(1);
+        }
+        SecureRandom sig_rng(kSeed + idx);
+        const ClSignature got = cl_randomize(prm, sig, sig_rng);
+        if (got.a != want_sig[idx].a || got.b != want_sig[idx].b ||
+            got.c != want_sig[idx].c) {
+          failures.fetch_add(1);
+        }
+        if (t == 0) montgomery_cache_clear();
       }
     });
   }

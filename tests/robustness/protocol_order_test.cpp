@@ -36,6 +36,22 @@ TEST(ProtocolOrderTest, DecConfirmWithoutReportThrows) {
             MarketErrc::kProtocolOrder);
 }
 
+TEST(ProtocolOrderTest, DecDeliverAfterConfirmThrows) {
+  // Confirmation releases the report and drops the filed payment: the MA
+  // keeps no ciphertext once the SP holds its coins.
+  PpmsDecMarket market = make_fast_dec_market(11);
+  JobOwnerSession jo = market.register_job("jo", "job", 2);
+  market.withdraw(jo);
+  ParticipantSession sp = market.register_labor("sp", jo);
+  market.submit_payment(jo, sp);
+  market.submit_data(sp, bytes_of("r"));
+  market.deliver_payment(sp);
+  EXPECT_EQ(market.open_payment(sp).value, 2u);
+  market.confirm_and_release_data(sp, jo);
+  EXPECT_EQ(market_errc([&] { market.deliver_payment(sp); }),
+            MarketErrc::kProtocolOrder);
+}
+
 TEST(ProtocolOrderTest, DecOpenPaymentWithoutDeliveryThrows) {
   PpmsDecMarket market = make_fast_dec_market(4);
   JobOwnerSession jo = market.register_job("jo", "job", 2);
@@ -84,6 +100,20 @@ TEST(ProtocolOrderTest, PbsDeliverWithoutPaymentThrows) {
   market.register_job(jo, "job");
   market.register_labor(sp, jo);
   market.submit_data(sp, bytes_of("r"));
+  EXPECT_EQ(market_errc([&] { market.deliver_and_open_payment(sp); }),
+            MarketErrc::kProtocolOrder);
+}
+
+TEST(ProtocolOrderTest, PbsDeliverAfterConfirmThrows) {
+  PpmsPbsMarket market = make_fast_pbs_market(12);
+  PbsOwnerSession jo = market.enroll_owner("jo");
+  PbsParticipantSession sp = market.enroll_participant("sp");
+  market.register_job(jo, "job");
+  market.register_labor(sp, jo);
+  market.submit_payment(sp, jo);
+  market.submit_data(sp, bytes_of("r"));
+  ASSERT_TRUE(market.deliver_and_open_payment(sp));
+  EXPECT_EQ(market.confirm_and_release_data(sp), bytes_of("r"));
   EXPECT_EQ(market_errc([&] { market.deliver_and_open_payment(sp); }),
             MarketErrc::kProtocolOrder);
 }

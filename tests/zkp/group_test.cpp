@@ -7,6 +7,7 @@
 #include "bigint/cunningham.h"
 #include "bigint/modarith.h"
 #include "bigint/prime.h"
+#include "support/ec_oracle.h"
 
 namespace ppms {
 namespace {
@@ -189,6 +190,47 @@ TEST(EcGroupTest, Pow2MatchesTwoPows) {
   const Bytes b1 = g.generator();
   const Bytes b2 = g.pow(b1, Bigint::random_below(rng, g.order()));
   check_pow2(g, b1, b2, rng);
+}
+
+// EcGroup::pow and pow2 run the Jacobian ladders (ec_mul, ec_mul2); they
+// must return the affine oracle's point byte for byte, exponents reduced
+// mod r, on the toy field and on a 512-bit one, including the degenerate
+// base pairs b = a, b = -a and a base at infinity.
+TEST(EcGroupTest, PowsMatchAffineOracle) {
+  SecureRandom rng(4201);
+  for (const TypeAParams& prm : {params(), typea_generate(rng, 57, 512)}) {
+    const EcGroup g(prm);
+    const Bigint& p = prm.p;
+    const Bigint& r = prm.r;
+    const EcPoint a = typea_random_subgroup_point(prm, rng);
+    const EcPoint outside = ec_random_point(rng, p);
+    const EcPoint order2{Bigint(0), Bigint(0), false};
+    const EcPoint inf = EcPoint::at_infinity();
+    const std::vector<std::pair<EcPoint, EcPoint>> pairs = {
+        {prm.g, a}, {a, outside},        {outside, order2}, {a, a},
+        {a, ec_neg(a, p)}, {inf, a},     {a, inf},
+    };
+    const Bigint one(1);
+    const std::vector<Bigint> scalars = {
+        Bigint(0), one,       Bigint(2), r - one,
+        r,         r + one,   p + one,   prm.h,
+        Bigint(-1), Bigint::random_bits(rng, 64),
+        Bigint::random_bits(rng, 600)};
+    for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
+      const auto& [x, y] = pairs[pi];
+      for (std::size_t i = 0; i < scalars.size(); ++i) {
+        const Bigint& e1 = scalars[i];
+        const Bigint& e2 = scalars[(3 * i + 1) % scalars.size()];
+        EXPECT_EQ(g.pow2(g.encode(x), e1, g.encode(y), e2),
+                  g.encode(testing::ec_mul2_affine(x, e1.mod(r), y,
+                                                   e2.mod(r), p)))
+            << p.bit_length() << "-bit p, pair " << pi << ", i " << i;
+        EXPECT_EQ(g.pow(g.encode(x), e1),
+                  g.encode(testing::ec_mul_affine(x, e1.mod(r), p)))
+            << p.bit_length() << "-bit p, pair " << pi << ", i " << i;
+      }
+    }
+  }
 }
 
 TEST(GtGroupTest, Pow2MatchesTwoPows) {
