@@ -295,24 +295,21 @@ Bigint FpCtx::from_mont(const FpElem& a) const {
   return unpack(out);
 }
 
-FpElem FpCtx::pow(const FpElem& x, const Bigint& e) const {
-  if (e.is_negative()) {
-    throw std::invalid_argument("FpCtx::pow: negative exponent");
-  }
-  // Sliding window of width 4 over the odd powers x^1, x^3, ..., x^15.
-  constexpr std::size_t kWindow = 4;
-  std::array<FpElem, 1 << (kWindow - 1)> odd_powers;
-  odd_powers[0] = x;
-  FpElem x2;
-  sqr(x2, x);
-  for (std::size_t i = 1; i < odd_powers.size(); ++i) {
-    mul(odd_powers[i], odd_powers[i - 1], x2);
-  }
-  FpElem acc = one();
+namespace {
+
+// Width-4 sliding window over the odd powers x^1, x^3, ..., x^15.
+constexpr std::size_t kWindow = 4;
+constexpr std::size_t kOddPowers = std::size_t{1} << (kWindow - 1);
+
+// The window walk behind pow and pow_batch: scans e from its top bit and
+// calls sqr() for every squaring of the accumulator and mul(i) for every
+// multiplication by the odd power x^(2i+1).
+template <class Sqr, class Mul>
+void walk_windows(const Bigint& e, Sqr&& sqr, Mul&& mul) {
   std::ptrdiff_t i = static_cast<std::ptrdiff_t>(e.bit_length()) - 1;
   while (i >= 0) {
     if (!e.bit(static_cast<std::size_t>(i))) {
-      sqr(acc, acc);
+      sqr();
       --i;
       continue;
     }
@@ -321,13 +318,73 @@ FpElem FpCtx::pow(const FpElem& x, const Bigint& e) const {
     while (!e.bit(static_cast<std::size_t>(j))) ++j;
     std::uint32_t window = 0;
     for (std::ptrdiff_t k = i; k >= j; --k) {
-      sqr(acc, acc);
+      sqr();
       window = (window << 1) | (e.bit(static_cast<std::size_t>(k)) ? 1 : 0);
     }
-    mul(acc, acc, odd_powers[(window - 1) / 2]);
+    mul((window - 1) / 2);
     i = j - 1;
   }
+}
+
+}  // namespace
+
+FpElem FpCtx::pow(const FpElem& x, const Bigint& e) const {
+  if (e.is_negative()) {
+    throw std::invalid_argument("FpCtx::pow: negative exponent");
+  }
+  std::array<FpElem, kOddPowers> odd_powers;
+  odd_powers[0] = x;
+  FpElem x2;
+  sqr(x2, x);
+  for (std::size_t i = 1; i < kOddPowers; ++i) {
+    mul(odd_powers[i], odd_powers[i - 1], x2);
+  }
+  FpElem acc = one();
+  walk_windows(
+      e, [&] { sqr(acc, acc); },
+      [&](std::size_t i) { mul(acc, acc, odd_powers[i]); });
   return acc;
+}
+
+void FpCtx::pow_batch(FpElem* r, const FpElem* x, std::size_t k,
+                      const Bigint& e) const {
+  if (e.is_negative()) {
+    throw std::invalid_argument("FpCtx::pow_batch: negative exponent");
+  }
+  for (std::size_t c0 = 0; c0 < k; c0 += kPowBatchLanes) {
+    const std::size_t c = std::min(kPowBatchLanes, k - c0);
+    FpElem* acc = r + c0;
+    // Per lane: the odd-power table, and acc holding x² while it fills.
+    FpElem odd[kPowBatchLanes][kOddPowers];
+    simd::MontJob jobs[kPowBatchLanes];
+    for (std::size_t l = 0; l < c; ++l) {
+      odd[l][0] = x[c0 + l];
+      jobs[l] = simd::MontJob{acc[l].v.data(), odd[l][0].v.data(),
+                              odd[l][0].v.data()};
+    }
+    mul_batch_raw(jobs, c);
+    for (std::size_t i = 1; i < kOddPowers; ++i) {
+      for (std::size_t l = 0; l < c; ++l) {
+        jobs[l] = simd::MontJob{odd[l][i].v.data(), odd[l][i - 1].v.data(),
+                                acc[l].v.data()};
+      }
+      mul_batch_raw(jobs, c);
+    }
+    // The walk's two job shapes, fixed for the whole exponent.
+    simd::MontJob sqr_jobs[kPowBatchLanes];
+    simd::MontJob mul_jobs[kOddPowers][kPowBatchLanes];
+    for (std::size_t l = 0; l < c; ++l) {
+      acc[l] = one();
+      limb::Limb* a = acc[l].v.data();
+      sqr_jobs[l] = simd::MontJob{a, a, a};
+      for (std::size_t i = 0; i < kOddPowers; ++i) {
+        mul_jobs[i][l] = simd::MontJob{a, a, odd[l][i].v.data()};
+      }
+    }
+    walk_windows(
+        e, [&] { mul_batch_raw(sqr_jobs, c); },
+        [&](std::size_t i) { mul_batch_raw(mul_jobs[i], c); });
+  }
 }
 
 void fp2_mul(const FpCtx& F, Fp2Elem& r, const Fp2Elem& x, const Fp2Elem& y) {

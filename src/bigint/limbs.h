@@ -221,6 +221,16 @@ class FpCtx {
   /// (width 4) square-and-multiply, allocation-free.
   FpElem pow(const FpElem& x, const Bigint& e) const;
 
+  /// r[i] = x[i]^e for i < k, all sharing one exponent e >= 0: the same
+  /// window walk as pow, with each squaring and table multiplication run
+  /// for every lane at once through mul_batch_raw. Results equal pow's bit
+  /// for bit. r[i] may alias x[i]. Scratch (the lanes' odd-power tables)
+  /// lives on the stack, one lane group of at most kPowBatchLanes at a
+  /// time.
+  void pow_batch(FpElem* r, const FpElem* x, std::size_t k,
+                 const Bigint& e) const;
+  static constexpr std::size_t kPowBatchLanes = 8;
+
   /// Copy the low limbs of a non-negative x < 2^{64·limbs()} into an FpElem
   /// without any domain change (pack) and back (unpack).
   FpElem pack(const Bigint& x) const;

@@ -30,7 +30,10 @@ bool miller_rabin_round(const Bigint& n, const Bigint& base);
 bool is_prime_u64(std::uint64_t n);
 
 /// Full probable-prime test: handles small cases exactly, then trial
-/// division plus `rounds` Miller-Rabin rounds with random bases.
+/// division plus `rounds` Miller-Rabin rounds with random bases. The bases
+/// come from rng one after another and testing stops at the first
+/// witness; the verdict and rng's state afterwards are the same at every
+/// SIMD dispatch level, however many rounds run side by side.
 bool is_probable_prime(const Bigint& n, SecureRandom& rng, int rounds = 32);
 
 /// Uniform probable prime with exactly `bits` bits (bits >= 2).

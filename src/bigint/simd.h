@@ -55,6 +55,14 @@ std::size_t lanes(Level lv);
 /// Jobs per lane group at the active level.
 std::size_t lanes();
 
+/// How many independent same-modulus n-limb products a caller should group
+/// per batch call when it could run them either one by one or side by side
+/// (the Miller-Rabin confirmation rounds): lanes() when the active level's
+/// kernel beats the scalar kernel at n limbs, 1 otherwise. Today that is
+/// kAvx512 at n in {4, 8, 16}: the 8-lane kernels run 1.2-5x scalar there,
+/// while the 4-lane AVX2 kernel runs below scalar at every width.
+std::size_t batch_width(std::size_t n);
+
 /// One independent Montgomery product r = a·b·2^{-64n} mod m. `r` may
 /// alias that job's own `a` or `b` (inputs are read before any store), but
 /// must not alias the operands of any *other* job in the same batch call —

@@ -1,6 +1,7 @@
 #include "core/ppmsdec.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "market/error.h"
 #include "obs/trace.h"
@@ -461,11 +462,14 @@ void PpmsDecMarket::confirm_and_release_data(ParticipantSession& sp,
           throw MarketError(MarketErrc::kProtocolOrder,
                             "confirm_and_release_data: no report on file");
         }
-        // The SP holds its payment once it confirms: drop the filed
-        // ciphertext (a redelivered deliver_payment envelope still replays
-        // its cached reply; a fresh one finds nothing on file).
+        // The SP holds its payment once it confirms and the report leaves
+        // with this reply: drop both files (a redelivered envelope still
+        // replays its cached reply; a fresh deliver_payment or confirm
+        // finds nothing on file).
+        Bytes report = std::move(it->second);
+        pending_reports_.erase(it);
         pending_payments_.erase(key);
-        return it->second;
+        return report;
       }));
 }
 

@@ -1,5 +1,7 @@
 #include "core/ppmspbs.h"
 
+#include <utility>
+
 #include "market/error.h"
 #include "obs/trace.h"
 #include "rsa/hybrid.h"
@@ -365,10 +367,13 @@ Bytes PpmsPbsMarket::confirm_and_release_data(PbsParticipantSession& sp) {
           throw MarketError(MarketErrc::kProtocolOrder,
                             "confirm_and_release_data: no report on file");
         }
-        // The SP holds its coin once it confirms: drop the filed blind
-        // signature (a redelivered envelope still replays its cached reply).
+        // The SP holds its coin once it confirms and the report leaves with
+        // this reply: drop both files (a redelivered envelope still replays
+        // its cached reply; a fresh one finds nothing on file).
+        Bytes report = std::move(it->second);
+        pending_reports_.erase(it);
         pending_coins_.erase(key);
-        return it->second;
+        return report;
       });
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bigint/modarith.h"
+#include "bigint/simd.h"
+#include "support/prime_oracle.h"
 
 namespace ppms {
 namespace {
@@ -134,6 +138,153 @@ TEST(PrimeTest, CandidatesWiderThanFpCtxStillTested) {
   // the order of 2 is 4408, so no 2^(2^i) along the chain is ±1.
   EXPECT_FALSE(miller_rabin_round(Bigint::two_pow(2204) + Bigint(1),
                                   Bigint(2)));
+}
+
+// --- differential suite against the sequential oracle -------------------
+
+// Every dispatch level this CPU can run, restored to the level active
+// before the test when the guard goes out of scope.
+class EachSimdLevel {
+ public:
+  EachSimdLevel() : saved_(simd::level()) {
+    for (const simd::Level lv :
+         {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+      if (static_cast<int>(lv) <= static_cast<int>(simd::detected())) {
+        levels_.push_back(lv);
+      }
+    }
+  }
+  ~EachSimdLevel() { simd::set_level(saved_); }
+  const std::vector<simd::Level>& levels() const { return levels_; }
+
+ private:
+  simd::Level saved_;
+  std::vector<simd::Level> levels_;
+};
+
+TEST(PrimeOracleDiff, HasSmallFactorMatchesOracle) {
+  const auto check = [](const Bigint& n) {
+    EXPECT_EQ(has_small_factor(n), testing::oracle_has_small_factor(n))
+        << n.to_decimal();
+  };
+  SecureRandom rng(40);
+  for (int i = 0; i < 600; ++i) {
+    const std::size_t bits = 13 + rng.uniform(2048 - 13 + 1);
+    check(Bigint::random_bits(rng, bits));
+  }
+  const auto& primes = small_primes();
+  for (std::size_t i = 0; i < primes.size(); ++i) {
+    const Bigint p(static_cast<std::int64_t>(primes[i]));
+    check(p);
+    check(-p);
+    check(p * p);
+    check(p * Bigint(static_cast<std::int64_t>(primes[(7 * i + 3) %
+                                                       primes.size()])));
+    // A large cofactor free of small primes times one small prime.
+    check(p * (Bigint::two_pow(521) - Bigint(1)));
+  }
+  check(Bigint(2039) * Bigint(2039));
+  check(Bigint(2053) * Bigint(2063));
+  for (const std::int64_t v : {0LL, 1LL, -1LL, 2048LL, 2053LL, 4294967291LL,
+                               4294967296LL}) {
+    check(Bigint(v));
+  }
+}
+
+TEST(PrimeOracleDiff, RandomPrimeMatchesOracleAtEveryLevel) {
+  // Same prime and same RNG state afterwards, for every seed, width and
+  // dispatch level: the lane-batched confirmation rounds draw their bases
+  // exactly as the sequential loop does.
+  EachSimdLevel guard;
+  for (const simd::Level lv : guard.levels()) {
+    simd::set_level(lv);
+    for (const std::size_t bits : {64, 128, 256, 512, 1024}) {
+      const int seeds = bits >= 1024 ? 2 : bits >= 512 ? 3 : 5;
+      for (int seed = 0; seed < seeds; ++seed) {
+        SecureRandom a(500 + seed), b(500 + seed);
+        EXPECT_EQ(random_prime(a, bits), testing::oracle_random_prime(b, bits))
+            << simd::level_name(lv) << " bits=" << bits << " seed=" << seed;
+        EXPECT_EQ(a.next_u64(), b.next_u64())
+            << simd::level_name(lv) << " bits=" << bits << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(PrimeOracleDiff, VerdictsMatchOracleOnCandidates) {
+  EachSimdLevel guard;
+  for (const simd::Level lv : guard.levels()) {
+    simd::set_level(lv);
+    SecureRandom gen(41);
+    for (const std::size_t bits : {256, 512}) {
+      for (int i = 0; i < 40; ++i) {
+        Bigint n = Bigint::random_bits(gen, bits);
+        if (n.is_even()) n += Bigint(1);
+        if (i % 4 == 0) n = random_prime(gen, bits);
+        SecureRandom a(600 + i), b(600 + i);
+        EXPECT_EQ(is_probable_prime(n, a),
+                  testing::oracle_is_probable_prime(n, b))
+            << simd::level_name(lv) << " " << n.to_decimal();
+        EXPECT_EQ(a.next_u64(), b.next_u64())
+            << simd::level_name(lv) << " " << n.to_decimal();
+      }
+    }
+    // Fewer rounds than a lane group, and none at all.
+    const Bigint p = testing::oracle_random_prime(gen, 256);
+    for (const int rounds : {0, 1, 2, 5, 9}) {
+      SecureRandom a(700), b(700);
+      EXPECT_TRUE(is_probable_prime(p, a, rounds));
+      EXPECT_TRUE(testing::oracle_is_probable_prime(p, b, rounds));
+      EXPECT_EQ(a.next_u64(), b.next_u64()) << rounds;
+    }
+  }
+}
+
+// A prime p = 3 mod 4 of `bits` bits for which 2p - 1 is prime too.
+Bigint liar_rich_factor(SecureRandom& rng, std::size_t bits) {
+  for (;;) {
+    Bigint p = Bigint::random_bits(rng, bits);
+    p += Bigint(3 - static_cast<std::int64_t>((p % Bigint(4)).to_u64()));
+    if (p.bit_length() != bits) continue;
+    const Bigint q = p * Bigint(2) - Bigint(1);
+    if (has_small_factor(p) || has_small_factor(q)) continue;
+    if (is_probable_prime(p, rng) && is_probable_prime(q, rng)) return p;
+  }
+}
+
+TEST(PrimeOracleDiff, LiarRichCompositesRewindToTheFirstWitness) {
+  // n = p(2p - 1) with p = 3 mod 4: a quarter of all bases are strong
+  // liars, so over many seeds the first witness lands in every lane of the
+  // first confirmation group, and the RNG must still end where the
+  // sequential loop leaves it.
+  EachSimdLevel guard;
+  SecureRandom gen(42);
+  for (const std::size_t bits : {127, 255}) {
+    const Bigint p = liar_rich_factor(gen, bits);
+    const Bigint n = p * (p * Bigint(2) - Bigint(1));
+    ASSERT_FALSE(has_small_factor(n));
+    std::vector<int> first_witness(17, 0);
+    for (int seed = 0; seed < 400; ++seed) {
+      SecureRandom w(seed);
+      const int at = testing::oracle_first_witness(n, w);
+      ++first_witness[static_cast<std::size_t>(std::min(at, 16))];
+    }
+    // Witnesses past round one, inside the first group of eight.
+    int mid_group = 0;
+    for (std::size_t i = 2; i < 8; ++i) mid_group += first_witness[i];
+    EXPECT_GT(first_witness[1], 0) << bits;
+    EXPECT_GT(mid_group, 0) << bits;
+    for (const simd::Level lv : guard.levels()) {
+      simd::set_level(lv);
+      for (int seed = 0; seed < 400; ++seed) {
+        SecureRandom a(seed), b(seed);
+        EXPECT_FALSE(is_probable_prime(n, a)) << bits << " " << seed;
+        EXPECT_FALSE(testing::oracle_is_probable_prime(n, b));
+        EXPECT_EQ(a.next_u64(), b.next_u64())
+            << simd::level_name(lv) << " bits=" << bits << " seed=" << seed;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // cios_mont_mul oracle on adversarial operands — modulus-boundary and
 // out-of-domain values, aliased in/out pointers, ragged batch tails —
 // plus the batch layers above (FpCtx::mul_batch / sqr_batch /
-// FpLaneBatch), cross-mode PairingPrecomp replay, and a threaded
-// dispatch-toggle hammer for the TSan leg. Any divergence is a hard
+// FpLaneBatch), cross-mode PairingPrecomp replay, and threaded
+// dispatch-toggle hammers for the TSan leg (raw batches, and RSA keygen
+// against the sequential prime-search oracle). Any divergence is a hard
 // failure: the lane kernels ship only because they are bit-identical to
 // the scalar kernel for any in-width input.
 #include "bigint/simd.h"
@@ -24,6 +25,8 @@
 #include "bigint/simd_detail.h"
 #include "pairing/pipeline.h"
 #include "pairing/tate.h"
+#include "rsa/rsa.h"
+#include "support/prime_oracle.h"
 
 namespace ppms {
 namespace {
@@ -424,6 +427,49 @@ TEST(SimdDiff, DispatchToggleHammerKeepsResultsExact) {
         }
       }
       (void)t;
+    });
+  }
+  std::thread toggler([&] {
+    bool on = false;
+    while (!stop.load()) {
+      simd::set_level(on ? simd::detected() : simd::Level::kScalar);
+      on = !on;
+      std::this_thread::yield();
+    }
+  });
+  for (auto& w : workers) w.join();
+  stop.store(true);
+  toggler.join();
+  simd::set_level(simd::detected());
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// RSA keygen racing the same toggler: the Miller-Rabin confirmation
+// rounds pick their batch width from the level at each candidate and the
+// lane kernels from the level at each call, so a level flipping mid-search
+// may change the speed but never a key or the RNG stream.
+TEST(SimdDiff, KeygenHammerMatchesOracleUnderDispatchToggles) {
+  constexpr int kThreads = 4;
+  const Bigint e(65537);
+  std::vector<std::pair<Bigint, Bigint>> want;
+  std::vector<std::uint64_t> want_next;
+  for (int t = 0; t < kThreads; ++t) {
+    SecureRandom rng(9200 + t);
+    want.push_back(testing::oracle_rsa_primes(rng, 1024, e));
+    want_next.push_back(rng.next_u64());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      SecureRandom rng(9200 + t);
+      const RsaKeyPair kp = rsa_generate(rng, 1024, e);
+      const auto& [p, q] = want[static_cast<std::size_t>(t)];
+      if (kp.priv.p != p || kp.priv.q != q || kp.pub.n != p * q ||
+          rng.next_u64() != want_next[static_cast<std::size_t>(t)]) {
+        failures.fetch_add(1);
+      }
     });
   }
   std::thread toggler([&] {

@@ -52,6 +52,25 @@ TEST(ProtocolOrderTest, DecDeliverAfterConfirmThrows) {
             MarketErrc::kProtocolOrder);
 }
 
+TEST(ProtocolOrderTest, DecSecondConfirmThrows) {
+  // The report leaves with the first confirmation: the MA keeps no copy,
+  // so a fresh second confirm finds nothing on file.
+  PpmsDecMarket market = make_fast_dec_market(13);
+  JobOwnerSession jo = market.register_job("jo", "job", 2);
+  market.withdraw(jo);
+  ParticipantSession sp = market.register_labor("sp", jo);
+  market.submit_payment(jo, sp);
+  market.submit_data(sp, bytes_of("r"));
+  market.deliver_payment(sp);
+  EXPECT_EQ(market.open_payment(sp).value, 2u);
+  market.confirm_and_release_data(sp, jo);
+  ASSERT_EQ(jo.received_reports.size(), 1u);
+  EXPECT_EQ(jo.received_reports[0], bytes_of("r"));
+  EXPECT_EQ(market_errc([&] { market.confirm_and_release_data(sp, jo); }),
+            MarketErrc::kProtocolOrder);
+  EXPECT_EQ(jo.received_reports.size(), 1u);
+}
+
 TEST(ProtocolOrderTest, DecOpenPaymentWithoutDeliveryThrows) {
   PpmsDecMarket market = make_fast_dec_market(4);
   JobOwnerSession jo = market.register_job("jo", "job", 2);
@@ -115,6 +134,20 @@ TEST(ProtocolOrderTest, PbsDeliverAfterConfirmThrows) {
   ASSERT_TRUE(market.deliver_and_open_payment(sp));
   EXPECT_EQ(market.confirm_and_release_data(sp), bytes_of("r"));
   EXPECT_EQ(market_errc([&] { market.deliver_and_open_payment(sp); }),
+            MarketErrc::kProtocolOrder);
+}
+
+TEST(ProtocolOrderTest, PbsSecondConfirmThrows) {
+  PpmsPbsMarket market = make_fast_pbs_market(14);
+  PbsOwnerSession jo = market.enroll_owner("jo");
+  PbsParticipantSession sp = market.enroll_participant("sp");
+  market.register_job(jo, "job");
+  market.register_labor(sp, jo);
+  market.submit_payment(sp, jo);
+  market.submit_data(sp, bytes_of("r"));
+  ASSERT_TRUE(market.deliver_and_open_payment(sp));
+  EXPECT_EQ(market.confirm_and_release_data(sp), bytes_of("r"));
+  EXPECT_EQ(market_errc([&] { market.confirm_and_release_data(sp); }),
             MarketErrc::kProtocolOrder);
 }
 

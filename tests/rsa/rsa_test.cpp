@@ -4,6 +4,8 @@
 
 #include "bigint/modarith.h"
 #include "bigint/prime.h"
+#include "bigint/simd.h"
+#include "support/prime_oracle.h"
 
 namespace ppms {
 namespace {
@@ -60,6 +62,39 @@ TEST(RsaKeygen, CustomExponent) {
   EXPECT_EQ(kp.pub.e, Bigint(3));
   const Bigint m(42);
   EXPECT_EQ(rsa_private_op(kp.priv, rsa_public_op(kp.pub, m)), m);
+}
+
+TEST(RsaKeygen, MatchesSequentialPrimeSearchAtEveryLevel) {
+  // Lane-batched prime search must not change a single key: the full
+  // private key and the RNG state afterwards equal what the sequential
+  // oracle's primes give, at every dispatch level the CPU runs.
+  const simd::Level saved = simd::level();
+  const Bigint e(65537);
+  for (const simd::Level lv :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (static_cast<int>(lv) > static_cast<int>(simd::detected())) continue;
+    simd::set_level(lv);
+    for (const std::uint64_t seed : {7001u, 7002u}) {
+      SecureRandom a(seed), b(seed);
+      const RsaKeyPair kp = rsa_generate(a, 1024);
+      const auto [p, q] = testing::oracle_rsa_primes(b, 1024, e);
+      RsaPrivateKey want;
+      want.n = p * q;
+      want.e = e;
+      want.d = modinv(e, lcm(p - Bigint(1), q - Bigint(1)));
+      want.p = p;
+      want.q = q;
+      want.dp = want.d.mod(p - Bigint(1));
+      want.dq = want.d.mod(q - Bigint(1));
+      want.qinv = modinv(q, p);
+      EXPECT_EQ(kp.priv.serialize(), want.serialize())
+          << simd::level_name(lv) << " seed=" << seed;
+      EXPECT_EQ(kp.pub, want.public_key());
+      EXPECT_EQ(a.next_u64(), b.next_u64())
+          << simd::level_name(lv) << " seed=" << seed;
+    }
+  }
+  simd::set_level(saved);
 }
 
 TEST(RsaRawOp, RoundTripRandomMessages) {
